@@ -1009,43 +1009,47 @@ def check_delivery(
 
     Mirrors the per-op delivery assertions of the high-level functions,
     but over a bare holdings map (e.g. one job's
-    :func:`repro.sim.multi.untag_holdings` view of a merged service
-    run) and reporting instead of raising.  Empty result = complete.
+    :meth:`repro.service.ExecutionView.job_holdings` view of a merged
+    service run) and reporting instead of raising.  Empty result =
+    complete.  Linear in the chunks plus the holdings read.
     """
     if op not in SCHEDULE_OPS:
         raise ValueError(f"op must be one of {SCHEDULE_OPS}, got {op!r}")
-    missing: dict[int, set[Chunk]] = {}
     chunks = schedule.chunk_sizes
+    # each node's obligation, built in one pass over the chunks
+    wants: dict[int, set[Chunk]]
+    if op in ("scatter", "alltoall"):
+        # the chunk id field naming the destination: scatter (MSG, v, k),
+        # alltoall (MSG, src, dst, k)
+        field = 1 if op == "scatter" else 2
+        wants = {}
+        for c in chunks:
+            wants.setdefault(c[field], set()).add(c)
+        if op == "scatter":
+            wants.pop(source, None)  # the root keeps its own message
+    elif op == "gather":
+        # only the root has a delivery obligation: every message
+        wants = {source: set(chunks)}
+    elif op == "reduce":
+        # the root must end holding its own operand plus the combined
+        # partial each tree child sends in — exactly the chunks of the
+        # transfers terminating at the root (on the hypercube SBT these
+        # are the ``source ^ 2**j`` partials)
+        want = {c for c in chunks if c[1] == source}
+        for r in schedule.rounds:
+            for t in r:
+                if t.dst == source:
+                    want.update(t.chunks)
+        wants = {source: want}
+    else:  # broadcast, allgather, all_broadcast: every chunk everywhere
+        everything = set(chunks)
+        wants = dict.fromkeys(cube.nodes(), everything)
+    missing: dict[int, set[Chunk]] = {}
     for v in cube.nodes():
-        have = holdings.get(v, set())
-        if op == "broadcast":
-            want = set(chunks)
-        elif op == "scatter":
-            if v == source:
-                continue
-            want = {c for c in chunks if c[1] == v}
-        elif op == "gather":
-            # only the root has a delivery obligation: every message
-            if v != source:
-                continue
-            want = set(chunks)
-        elif op == "reduce":
-            # the root must end holding its own operand plus the
-            # combined partial each tree child sends in — exactly the
-            # chunks of the transfers terminating at the root (on the
-            # hypercube SBT these are the ``source ^ 2**j`` partials)
-            if v != source:
-                continue
-            want = {c for c in chunks if c[1] == source}
-            for r in schedule.rounds:
-                for t in r:
-                    if t.dst == source:
-                        want.update(t.chunks)
-        elif op in ("allgather", "all_broadcast"):
-            want = set(chunks)
-        else:  # alltoall: every chunk addressed to v (c[2] = destination)
-            want = {c for c in chunks if c[2] == v}
-        short = want - have
+        want = wants.get(v)
+        if not want:
+            continue
+        short = want - holdings.get(v, set())
         if short:
             missing[v] = short
     return missing

@@ -1,10 +1,12 @@
-"""Merged-program execution and per-job provenance accounting.
+"""Job lowering, merged-program execution and per-job accounting.
 
-One service step = one engine run: the scheduler merges every admitted
-job into a single :class:`~repro.sim.multi.MergedProgram`, this module
-executes it on the vectorized event engine (release times baked into
-the lowering, transfer log enabled), and splits the run back into
-per-job views using the provenance chain
+Each distinct job schedule of a run is lowered once
+(:func:`lower_jobs`).  One service step = one engine run: the scheduler
+merges every admitted job's table into a single
+:class:`~repro.sim.multi.MergedProgram`, this module executes the
+merged table as is on the vectorized event engine (release times baked
+into ``init_avail``, transfer log enabled), and splits the run back
+into per-job views using the provenance chain
 
     ``transfer_log.ids`` (executed, execution order)
     -> ``MergedProgram.owners`` (transfer -> job position)
@@ -18,22 +20,24 @@ standalone run of the same schedule would report.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.sim.engine import AsyncResult
 from repro.sim.faults import DegradedResult, FaultPlan
-from repro.sim.lowering import lower_schedule
+from repro.sim.lowering import LoweredSchedule, csr_rows, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.multi import MergedProgram, untag_holdings
 from repro.sim.ports import PortModel
-from repro.sim.schedule import Chunk
+from repro.sim.schedule import Chunk, Schedule
 from repro.sim.trace import LinkStats
 from repro.sim.vectorized import run_async_vectorized
 from repro.topology.hypercube import DirectedEdge, Hypercube
 
-__all__ = ["JobSlice", "ExecutionView", "execute_program"]
+__all__ = ["JobSlice", "ExecutionView", "execute_program", "lower_jobs"]
 
 
 @dataclass
@@ -75,21 +79,41 @@ class ExecutionView:
         program: the merged program that was executed.
         raw: the engine result (degraded under reported faults).
         slices: per-job accounting, indexed like ``program.entries``.
+        ends: end time of each executed transfer, aligned with
+            ``raw.transfer_log``.
     """
 
     program: MergedProgram
     raw: "AsyncResult | DegradedResult"
     slices: list[JobSlice]
+    ends: np.ndarray
 
     @property
     def makespan(self) -> float:
         """Completion time of the whole merged run."""
         return self.raw.time
 
+    @cached_property
+    def held(self) -> np.ndarray:
+        """Merged slot -> holds payload at the end of the run.
+
+        A slot ends up held iff it starts held or an executed transfer
+        writes it — the same condition the engine's final holdings are
+        read from.
+        """
+        low = self.program.lowered
+        held = low.init_avail != np.inf
+        log = self.raw.transfer_log
+        assert log is not None
+        if log.ids:
+            ids = np.asarray(log.ids, dtype=np.int64)
+            held[csr_rows(low.out_ptr, low.out_idx, ids)] = True
+        return held
+
     def job_holdings(self, position: int) -> dict[int, set[Chunk]]:
         """Final holdings of the job at ``position``, untagged."""
         return untag_holdings(
-            self.raw.holdings, self.program.entries[position].tag
+            self.program, position, self.held, self.raw.holdings.keys()
         )
 
     def link_busy_total(self) -> dict[DirectedEdge, float]:
@@ -99,6 +123,22 @@ class ExecutionView:
             for edge, busy in s.link_busy.items():
                 total[edge] = total.get(edge, 0.0) + busy
         return total
+
+
+def lower_jobs(
+    cube: Hypercube,
+    schedules: Mapping[Hashable, tuple[Schedule, dict[int, set[Chunk]]]],
+) -> dict[Hashable, LoweredSchedule]:
+    """Lower each distinct job schedule once: key -> job table.
+
+    ``schedules`` maps a schedule key to ``(schedule, initial)``; jobs
+    that share a key share the table, and every merge of the run reuses
+    it.  Tables carry no release times — each merge sets them.
+    """
+    return {
+        key: lower_schedule(cube, schedule, initial)
+        for key, (schedule, initial) in schedules.items()
+    }
 
 
 def execute_program(
@@ -115,18 +155,15 @@ def execute_program(
     log is always requested (it is the provenance source).
     """
     machine = machine or MachineParams()
-    low = lower_schedule(
-        cube, program.schedule, program.initial, program.release_times
-    )
+    low = program.lowered
     raw = run_async_vectorized(
-        cube, program.schedule, port_model, program.initial,
-        machine, faults=faults, on_fault=on_fault, lowered=low,
-        transfer_log=True,
+        cube, None, port_model, None, machine,
+        faults=faults, on_fault=on_fault, lowered=low, transfer_log=True,
     )
     log = raw.transfer_log
     assert log is not None
 
-    owners_all = np.asarray(program.owners, dtype=np.int64)
+    owners_all = program.owners
     scheduled_per = np.bincount(owners_all, minlength=program.num_jobs)
 
     ids = np.asarray(log.ids, dtype=np.int64)
@@ -141,10 +178,10 @@ def execute_program(
     lsrc = low.link_src.tolist()
     ldst = low.link_dst.tolist()
 
+    ends = starts + costs_all[ids]
     slices: list[JobSlice] = []
     if ids.size:
         owners_exec = owners_all[ids]
-        ends = starts + costs_all[ids]
         links_exec = low.link[ids]
         elems_exec = low.elems[ids]
         costs_exec = costs_all[ids]
@@ -203,4 +240,4 @@ def execute_program(
             link_stats=stats,
             link_busy=busy,
         ))
-    return ExecutionView(program=program, raw=raw, slices=slices)
+    return ExecutionView(program=program, raw=raw, slices=slices, ends=ends)

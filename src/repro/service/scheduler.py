@@ -7,8 +7,9 @@ the same port-model admission rules every single-collective run obeys,
 because concurrency is expressed *in the program itself*: admitted
 jobs are merged into one :class:`~repro.sim.multi.MergedProgram`
 (chunks namespaced per job, policy order = program order = contention
-priority, admission instants as per-chunk release times) and the
-merged program is executed whole.
+priority, admission instants as per-job release times) and the
+merged program is executed whole.  Each distinct job schedule is
+lowered once per run; every re-simulation merges those tables.
 
 Admission loop
 --------------
@@ -54,7 +55,7 @@ from typing import Iterable, Sequence
 
 from repro.collectives.api import ROOTED_OPS, check_delivery, collective_schedule
 from repro.obs.instruments import service_run_finished
-from repro.service.exec import ExecutionView, execute_program
+from repro.service.exec import ExecutionView, execute_program, lower_jobs
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.policies import SchedulingPolicy, resolve_policy
 from repro.sim.engine import AsyncResult
@@ -287,6 +288,11 @@ class CollectiveService:
         jobs: int | None = None,
         mp_context: str | None = None,
     ):
+        if not isinstance(cube, Hypercube):
+            raise ValueError(
+                "the collective service runs on the hypercube only, got "
+                f"{cube!r}"
+            )
         self.cube = cube
         self.port_model = port_model
         self.machine = machine or MachineParams()
@@ -364,6 +370,7 @@ class CollectiveService:
             return result
 
         schedules = self._pregenerate()
+        tables = lower_jobs(self.cube, schedules)
         ctl = self.admission
         policy = self.policy
         # arrival processing order: time, then submission order
@@ -399,7 +406,8 @@ class CollectiveService:
         def _admit(job_id: int, t: float) -> None:
             nonlocal admit_seq, in_flight_total
             spec = specs[job_id]
-            sched, initial = schedules[self._schedule_key(spec)]
+            skey = self._schedule_key(spec)
+            sched, initial = schedules[skey]
             key = policy.admission_key(
                 spec, admit_seq, tenant_link_time.get(spec.tenant, 0.0)
             )
@@ -407,7 +415,8 @@ class CollectiveService:
             rec = _Admitted(
                 job_id=job_id, spec=spec, key=key, release=t,
                 entry=JobEntry(
-                    tag=job_id, schedule=sched, initial=initial, release=t
+                    tag=job_id, schedule=sched, initial=initial,
+                    lowered=tables[skey], release=t,
                 ),
             )
             admitted.append(rec)

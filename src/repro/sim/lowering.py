@@ -35,6 +35,7 @@ object-path engines.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.topology.base import Topology
 
-__all__ = ["LoweredSchedule", "lower_schedule"]
+__all__ = ["LoweredSchedule", "csr_rows", "lower_schedule"]
 
 
 @dataclass
@@ -54,7 +55,8 @@ class LoweredSchedule:
         n_slots: number of distinct ``(node, chunk)`` payload slots.
         n_links: number of distinct directed links used.
         transfers: transfer id -> original :class:`Transfer` (for error
-            reporting, fault events and degraded results).
+            reporting, fault events and degraded results; any indexable
+            sequence, so merged programs can build them on demand).
         chunk_objects: chunk id -> original chunk identifier.
         src, dst, port: per-transfer endpoints and cube dimension.
         link: per-transfer dense directed-link id.
@@ -63,6 +65,8 @@ class LoweredSchedule:
         out_ptr, out_idx: CSR — transfer -> receiver payload slots.
         wait_ptr, wait_idx: CSR — slot -> transfer ids waiting on it.
         slot_node, slot_chunk: slot -> ``(node, chunk id)`` decode.
+            :func:`lower_schedule` numbers slots in ``(node, chunk id)``
+            order, so ``slot_node`` is non-decreasing.
         init_avail: slot -> availability time at t=0 (``inf`` = absent).
         init_missing: transfer -> count of input slots absent at t=0.
         link_src, link_dst: link id -> directed endpoints.
@@ -71,7 +75,7 @@ class LoweredSchedule:
     n_transfers: int
     n_slots: int
     n_links: int
-    transfers: list[Transfer]
+    transfers: Sequence[Transfer]
     chunk_objects: list[Chunk]
     src: np.ndarray
     dst: np.ndarray
@@ -106,6 +110,17 @@ class LoweredSchedule:
         )
 
 
+def csr_rows(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The CSR entries of ``rows``, concatenated in the order given."""
+    counts = ptr[rows + 1] - ptr[rows]
+    out_ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out_ptr[1:])
+    gather = np.repeat(ptr[rows] - out_ptr[:-1], counts) + np.arange(
+        out_ptr[-1], dtype=np.int64
+    )
+    return idx[gather]
+
+
 def lower_schedule(
     cube: Topology,
     schedule: Schedule,
@@ -116,10 +131,11 @@ def lower_schedule(
 
     ``release_times`` optionally delays initially-held chunks: a chunk
     mapped to ``t`` becomes available at its holders at instant ``t``
-    instead of 0.0, so no transfer reading it can start earlier.  This
-    is how the service layer gates a job admitted at time ``t`` into an
-    already-running merged program (multi-job runs, see
-    :mod:`repro.sim.multi`); absent chunks still start at ``+inf``.
+    instead of 0.0, so no transfer reading it can start earlier;
+    absent chunks still start at ``+inf``.  Lowering a chunk-tagged
+    merged schedule with its jobs' admission instants here gives the
+    table :func:`repro.sim.multi.merge_programs` builds from the jobs'
+    own tables (the merge's differential tests use it as the oracle).
     """
     transfers = schedule.all_transfers()
     n_transfers = len(transfers)

@@ -4,10 +4,14 @@ The service layer (:mod:`repro.service`) runs a *stream* of collective
 jobs concurrently on one shared hypercube.  Each job still comes from
 the ordinary schedule generators, but the engines execute exactly one
 schedule per run — so concurrent jobs are composed here into a single
-:class:`MergedProgram` first:
+:class:`MergedProgram` first.  Composition works on the jobs' lowered
+tables (:class:`~repro.sim.lowering.LoweredSchedule`), not on
+``Transfer`` objects: each distinct job schedule is lowered once per
+run and every re-merge only concatenates and reorders arrays.
 
-* chunk ids are namespaced per job (``(tag, chunk)``) so two broadcasts
-  both shipping ``("b", 0)`` never alias;
+* chunk ids are namespaced per job — the merged table's chunk objects
+  are ``(tag, chunk)``, so two broadcasts both shipping ``("b", 0)``
+  never alias, and each job owns its own contiguous slot range;
 * the merged program order interleaves the jobs **round by round in the
   given entry order** — program order is contention priority in the
   event engines, so the entry order *is* the scheduling policy's
@@ -15,10 +19,16 @@ schedule per run — so concurrent jobs are composed here into a single
 * every transfer records its owning entry (``owners``) — the per-job
   provenance the service uses to split one engine run back into
   per-job completion times, link traffic and delivery reports;
-* each job's initially-held chunks carry a *release time* (its
+* each job's initially-held slots carry a *release time* (its
   admission instant): the vectorized engine will not start any
   transfer of the job before it, which is how jobs arriving mid-stream
   enter an already-running cube.
+
+The merged table is exactly what lowering the equivalent chunk-tagged
+merged :class:`~repro.sim.schedule.Schedule` would give, up to slot and
+chunk numbering, which the engine never observes.  Tagged ``Transfer``
+objects are only built when the engine asks for one (fault events,
+deadlock reports, degraded results).
 
 Unlike :func:`repro.sim.schedule.merge_schedules` (which exists to be
 re-packed into a new valid round structure), a merged program is meant
@@ -29,9 +39,14 @@ like the paper's port-model admission rules demand.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from functools import cached_property
+from itertools import chain
 
+import numpy as np
+
+from repro.sim.lowering import LoweredSchedule, csr_rows
 from repro.sim.schedule import Chunk, Schedule, Transfer
 
 __all__ = ["JobEntry", "MergedProgram", "merge_programs", "untag_holdings"]
@@ -46,6 +61,9 @@ class JobEntry:
             service uses the job id).
         schedule: the job's own (untagged) routing schedule.
         initial: the job's initial holdings, untagged.
+        lowered: ``lower_schedule(cube, schedule, initial)`` — the
+            job's table, lowered without release times.  Jobs sharing
+            a schedule share one table.
         release: earliest instant any transfer of the job may start
             (the service's admission time).
     """
@@ -53,32 +71,65 @@ class JobEntry:
     tag: Hashable
     schedule: Schedule
     initial: dict[int, set[Chunk]]
+    lowered: LoweredSchedule
     release: float = 0.0
 
     def __post_init__(self) -> None:
         if self.release < 0:
             raise ValueError(f"release time must be >= 0, got {self.release}")
+        if self.lowered.n_transfers != self.schedule.num_transfers:
+            raise ValueError(
+                f"job {self.tag!r}: lowered table has "
+                f"{self.lowered.n_transfers} transfers, its schedule "
+                f"{self.schedule.num_transfers}"
+            )
+
+    @cached_property
+    def tagged_chunks(self) -> list[Chunk]:
+        """The table's chunk objects as ``(tag, chunk)``, built once."""
+        tag = self.tag
+        return [(tag, c) for c in self.lowered.chunk_objects]
+
+
+class _TaggedTransfers(Sequence[Transfer]):
+    """Merged transfer id -> chunk-tagged ``Transfer``, built on access."""
+
+    def __init__(
+        self, entries: list[JobEntry], owners: np.ndarray, local: np.ndarray
+    ) -> None:
+        self._entries = entries
+        self._owners = owners
+        self._local = local
+
+    def __len__(self) -> int:
+        return self._owners.size
+
+    def __getitem__(self, i: int) -> Transfer:  # type: ignore[override]
+        entry = self._entries[self._owners[i]]
+        t = entry.lowered.transfers[self._local[i]]
+        tag = entry.tag
+        return Transfer(t.src, t.dst, frozenset((tag, c) for c in t.chunks))
 
 
 @dataclass
 class MergedProgram:
-    """Several job schedules compiled into one engine-ready schedule.
+    """Several job tables merged into one engine-ready table.
 
     Attributes:
-        schedule: the merged, chunk-tagged schedule (engine input).
-        initial: merged, chunk-tagged initial holdings (engine input).
-        release_times: tagged chunk -> availability instant of the
-            initially-held copies (for
-            :func:`repro.sim.lowering.lower_schedule`).
-        owners: transfer index in ``schedule.all_transfers()`` program
-            order -> position of the owning entry in ``entries``.
+        lowered: the merged table (engine input), with each job's
+            release time in ``init_avail`` and ``(tag, chunk)`` chunk
+            objects.
+        owners: merged transfer id (program order) -> position of the
+            owning entry in ``entries``.
+        slot_ptr: entry position -> first merged slot id; the entry's
+            slots are ``slot_ptr[p]:slot_ptr[p + 1]``, in the order of
+            its own table.
         entries: the input entries, in merged (priority) order.
     """
 
-    schedule: Schedule
-    initial: dict[int, set[Chunk]]
-    release_times: dict[Chunk, float]
-    owners: list[int]
+    lowered: LoweredSchedule
+    owners: np.ndarray
+    slot_ptr: np.ndarray
     entries: list[JobEntry]
 
     @property
@@ -88,7 +139,7 @@ class MergedProgram:
 
     def job_transfers(self, position: int) -> list[int]:
         """Transfer indices owned by the entry at ``position``."""
-        return [i for i, o in enumerate(self.owners) if o == position]
+        return np.flatnonzero(self.owners == position).tolist()
 
 
 def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
@@ -102,64 +153,132 @@ def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
     """
     if not entries:
         raise ValueError("need at least one job entry to merge")
+    entries = list(entries)
     tags = [e.tag for e in entries]
     if len(set(tags)) != len(tags):
         raise ValueError(f"job tags must be unique, got {tags}")
+    tabs = [e.lowered for e in entries]
 
-    chunk_sizes: dict[Chunk, int] = {}
-    release_times: dict[Chunk, float] = {}
-    initial: dict[int, set[Chunk]] = {}
-    depth = max(e.schedule.num_rounds for e in entries)
-    rounds: list[list[Transfer]] = [[] for _ in range(depth)]
-    owner_rounds: list[list[int]] = [[] for _ in range(depth)]
-    for pos, entry in enumerate(entries):
-        tag = entry.tag
-        for c, size in entry.schedule.chunk_sizes.items():
-            chunk_sizes[(tag, c)] = size
-        for node, chunks in entry.initial.items():
-            held = initial.setdefault(node, set())
-            for c in chunks:
-                tagged = (tag, c)
-                held.add(tagged)
-                release_times[tagged] = entry.release
-        for ri, r in enumerate(entry.schedule.rounds):
-            for t in r:
-                rounds[ri].append(
-                    Transfer(t.src, t.dst, frozenset((tag, c) for c in t.chunks))
-                )
-                owner_rounds[ri].append(pos)
-    merged = Schedule(
-        rounds=[tuple(r) for r in rounds],
-        chunk_sizes=chunk_sizes,
-        algorithm="multi-job",
-        meta={
-            "merged_from": [e.schedule.algorithm for e in entries],
-            "tags": list(tags),
-        },
+    def cat(name: str) -> np.ndarray:
+        return np.concatenate([getattr(t, name) for t in tabs])
+
+    def offsets(sizes: list[int]) -> np.ndarray:
+        out = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=out[1:])
+        return out
+
+    t_ptr = offsets([t.n_transfers for t in tabs])
+    slot_ptr = offsets([t.n_slots for t in tabs])
+    chunk_ptr = offsets([len(t.chunk_objects) for t in tabs])
+    n_jobs = len(entries)
+
+    # Program order: a stable sort of the job-major concatenation by
+    # round index yields (round, entry position, job-local id) order.
+    rounds = np.concatenate([
+        np.repeat(
+            np.arange(e.schedule.num_rounds, dtype=np.int64),
+            [len(r) for r in e.schedule.rounds],
+        )
+        for e in entries
+    ])
+    order = np.argsort(rounds, kind="stable")
+    owners = np.repeat(
+        np.arange(n_jobs, dtype=np.int64), np.diff(t_ptr)
+    )[order]
+    local = order - t_ptr[owners]
+
+    src = cat("src")[order]
+    dst = cat("dst")[order]
+
+    # Transfer -> slot CSR: shift each job's slots into its range, then
+    # permute the rows into program order.  in/out rows are parallel.
+    cat_ptr = offsets(np.concatenate([np.diff(t.in_ptr) for t in tabs]))
+    shift = np.repeat(slot_ptr[:-1], [t.in_idx.size for t in tabs])
+    in_idx = csr_rows(cat_ptr, cat("in_idx") + shift, order)
+    out_idx = csr_rows(cat_ptr, cat("out_idx") + shift, order)
+    in_ptr = offsets(cat_ptr[order + 1] - cat_ptr[order])
+
+    init_avail = np.concatenate([
+        np.where(t.init_avail == np.inf, np.inf, e.release)
+        for t, e in zip(tabs, entries)
+    ])
+    # Slot -> waiter CSR: slot ranges are per job and the merge keeps
+    # each job's transfers in their own relative order, so renumbering
+    # the waiters keeps every list ascending in program order.
+    merged_id = np.empty_like(order)
+    merged_id[order] = np.arange(order.size)
+    wait_ptr = offsets(np.concatenate([np.diff(t.wait_ptr) for t in tabs]))
+    wait_idx = merged_id[np.concatenate([
+        t.wait_idx + t_ptr[j] for j, t in enumerate(tabs)
+    ])]
+
+    # Dense directed-link ids over the merged program, numbered in
+    # (src, dst) order exactly like lower_schedule numbers them.
+    uniq_edges, link = np.unique((src << 32) | dst, return_inverse=True)
+
+    lowered = LoweredSchedule(
+        n_transfers=int(t_ptr[-1]),
+        n_slots=int(slot_ptr[-1]),
+        n_links=int(uniq_edges.size),
+        transfers=_TaggedTransfers(entries, owners, local),
+        chunk_objects=list(chain.from_iterable(
+            e.tagged_chunks for e in entries
+        )),
+        src=src,
+        dst=dst,
+        port=cat("port")[order],
+        link=link.astype(np.int64).reshape(src.size),
+        elems=cat("elems")[order],
+        in_ptr=in_ptr,
+        in_idx=in_idx,
+        out_ptr=in_ptr.copy(),
+        out_idx=out_idx,
+        wait_ptr=wait_ptr,
+        wait_idx=wait_idx,
+        slot_node=cat("slot_node"),
+        slot_chunk=cat("slot_chunk") + np.repeat(
+            chunk_ptr[:-1], [t.n_slots for t in tabs]
+        ),
+        init_avail=init_avail,
+        init_missing=cat("init_missing")[order],
+        link_src=(uniq_edges >> 32).astype(np.int32),
+        link_dst=(uniq_edges & 0xFFFFFFFF).astype(np.int32),
     )
-    owners = [o for r in owner_rounds for o in r]
     return MergedProgram(
-        schedule=merged,
-        initial=initial,
-        release_times=release_times,
+        lowered=lowered,
         owners=owners,
-        entries=list(entries),
+        slot_ptr=slot_ptr,
+        entries=entries,
     )
 
 
 def untag_holdings(
-    holdings: dict[int, set[Chunk]],
-    tag: Hashable,
-    nodes: Iterable[int] | None = None,
+    program: MergedProgram,
+    position: int,
+    held: np.ndarray,
+    nodes: Iterable[int],
 ) -> dict[int, set[Chunk]]:
-    """One job's view of merged holdings, with the namespace stripped.
+    """One job's final holdings, split from the merged slot arrays.
 
-    Returns ``{node: {chunk for (tag, chunk) held}}`` — exactly the
-    holdings a standalone run of the job's own schedule would produce,
-    which is what makes the single-job differential test bit-exact.
+    ``held`` flags the merged slots holding payload at the end of the
+    run.  Returns ``{node: {chunk held}}`` over ``nodes``, chunks
+    untagged — exactly the holdings a standalone run of the job's own
+    schedule would produce, which is what makes the single-job
+    differential test bit-exact.
     """
-    keys = holdings.keys() if nodes is None else nodes
-    return {
-        node: {c for t, c in holdings.get(node, set()) if t == tag}
-        for node in keys
-    }
+    low = program.entries[position].lowered
+    lo = int(program.slot_ptr[position])
+    mine = np.flatnonzero(held[lo:lo + low.n_slots])
+    out: dict[int, set[Chunk]] = {v: set() for v in nodes}
+    if not mine.size:
+        return out
+    slot_node = low.slot_node[mine]
+    chunk_ids = low.slot_chunk[mine].tolist()
+    objects = low.chunk_objects
+    # slot_node is non-decreasing, so each node's slots form one run
+    cuts = (np.flatnonzero(np.diff(slot_node)) + 1).tolist()
+    starts = [0] + cuts
+    ends = cuts + [len(chunk_ids)]
+    for v, a, b in zip(slot_node[starts].tolist(), starts, ends):
+        out[v] = {objects[c] for c in chunk_ids[a:b]}
+    return out

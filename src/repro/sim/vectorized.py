@@ -88,9 +88,9 @@ _INF = float("inf")
 
 def run_async_vectorized(
     cube: Topology,
-    schedule: Schedule,
+    schedule: Schedule | None,
     port_model: PortModel,
-    initial_holdings: dict[int, set[Chunk]],
+    initial_holdings: dict[int, set[Chunk]] | None,
     machine: MachineParams | None = None,
     faults: FaultPlan | None = None,
     on_fault: str = "raise",
@@ -105,7 +105,10 @@ def run_async_vectorized(
     :class:`~repro.sim.lowering.LoweredSchedule`; it must have been
     lowered from this exact ``schedule`` and ``initial_holdings``
     (lowering is machine- and port-model-independent, so one lowering
-    can be replayed under many machines).  ``transfer_log=True``
+    can be replayed under many machines).  With ``lowered`` given,
+    ``schedule`` and ``initial_holdings`` are not read and may be
+    ``None`` — merged multi-job programs exist only as tables (see
+    :mod:`repro.sim.multi`).  ``transfer_log=True``
     additionally records per-transfer provenance (program-order ids +
     execution-order start times) on the result — the service layer's
     hook for splitting merged multi-job runs back into per-job
@@ -126,9 +129,12 @@ def run_async_vectorized(
     ov1 = 1.0 - machine.overlap
     eps = _EPS
 
-    low = lowered if lowered is not None else lower_schedule(
-        cube, schedule, initial_holdings
-    )
+    if lowered is not None:
+        low = lowered
+    elif schedule is None or initial_holdings is None:
+        raise ValueError("need a schedule and initial holdings, or lowered")
+    else:
+        low = lower_schedule(cube, schedule, initial_holdings)
     nT = low.n_transfers
     transfers = low.transfers
 

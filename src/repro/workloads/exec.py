@@ -20,6 +20,10 @@ service's admission loop solves, and the same solution applies:
 3. every admission re-simulates the step's merged program; finishes of
    *unprocessed* phases are refreshed from the new run.
 
+Each distinct phase schedule is lowered once per run (phases with
+equal schedule keys share one table); a re-simulation only merges the
+admitted phases' tables.
+
 Re-simulating after an admission at time ``t`` cannot invalidate a
 completion already processed: the new phase's transfers are
 release-gated to ``t + compute >= t``, added contention only delays
@@ -46,14 +50,17 @@ from __future__ import annotations
 import math
 from time import perf_counter
 
+import numpy as np
+
 from repro.collectives.api import (
     DEFAULT_ALGORITHMS,
     check_delivery,
 )
 from repro.obs.instruments import workload_run_finished
-from repro.service.exec import ExecutionView, execute_program
+from repro.service.exec import ExecutionView, execute_program, lower_jobs
+from repro.sim.lowering import LoweredSchedule
 from repro.sim.machine import MachineParams
-from repro.sim.multi import JobEntry, merge_programs, untag_holdings
+from repro.sim.multi import JobEntry, merge_programs
 from repro.sim.schedule import Chunk, Schedule
 from repro.topology.hypercube import Hypercube
 from repro.workloads.dag import PhaseSpec, Workload, WorkloadDAG
@@ -165,26 +172,16 @@ def _link_utilization(
     )
 
 
-def _stragglers(
-    view: ExecutionView, machine: MachineParams, t0: float
-) -> StragglerReport:
+def _stragglers(view: ExecutionView, t0: float) -> StragglerReport:
     """Per-node last-delivery lag, from the transfer log's provenance."""
     log = view.raw.transfer_log
-    if log is None:
+    if log is None or not log.ids:
         return StragglerReport()
-    ids = [int(i) for i in log.ids]
-    starts = [float(s) for s in log.starts]
-    if not ids:
-        return StragglerReport()
-    transfers = view.program.schedule.all_transfers()
-    sizes = view.program.schedule.chunk_sizes
-    last: dict[int, float] = {}
-    for i, start in zip(ids, starts):
-        t = transfers[i]
-        end = start + machine.send_cost(sum(sizes[c] for c in t.chunks))
-        if end > last.get(t.dst, -math.inf):
-            last[t.dst] = end
-    lags = sorted((node, end - t0) for node, end in last.items())
+    dsts = view.program.lowered.dst[np.asarray(log.ids, dtype=np.int64)]
+    nodes, inv = np.unique(dsts, return_inverse=True)
+    last = np.full(nodes.size, -np.inf)
+    np.maximum.at(last, inv, view.ends)
+    lags = list(zip(nodes.tolist(), (last - t0).tolist()))
     by_lag = sorted(lags, key=lambda item: (-item[1], item[0]))
     ordered = sorted(lag for _, lag in lags)
     max_lag = ordered[-1]
@@ -236,6 +233,7 @@ def _run_step_sim(
     step: int,
     t0: float,
     schedules: dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]],
+    tables: dict[tuple, LoweredSchedule],
     cube: Hypercube,
     machine: MachineParams,
 ) -> StepReport:
@@ -262,13 +260,12 @@ def _run_step_sim(
         if p.op is None:
             finish[p.name] = release[p.name]
             return False
-        sched, initial = schedules[
-            _phase_key(workload.dimension, workload.port_model.value, p)
-        ]
+        key = _phase_key(workload.dimension, workload.port_model.value, p)
+        sched, initial = schedules[key]
         position[p.name] = len(entries)
         entries.append(JobEntry(
             tag=p.name, schedule=sched, initial=initial,
-            release=release[p.name],
+            lowered=tables[key], release=release[p.name],
         ))
         return True
 
@@ -335,11 +332,11 @@ def _run_step_sim(
         )
         if p.op is not None:
             assert view is not None
-            s = view.slices[position[p.name]]
-            holdings = untag_holdings(view.raw.holdings, p.name)
+            pos = position[p.name]
+            s = view.slices[pos]
             undelivered = check_delivery(
-                cube, p.op, p.source, entries[position[p.name]].schedule,
-                holdings,
+                cube, p.op, p.source, entries[pos].schedule,
+                view.job_holdings(pos),
             )
             rep.transfers_scheduled = s.scheduled
             rep.transfers_executed = s.executed
@@ -362,7 +359,7 @@ def _run_step_sim(
         ),
         critical_path=_critical_path(dag, reports),
         stragglers=(
-            _stragglers(view, machine, t0)
+            _stragglers(view, t0)
             if view is not None else StragglerReport()
         ),
     )
@@ -499,10 +496,11 @@ def run_workload(
     )
     if backend == "sim":
         schedules = _pregenerate(workload, steps, jobs, mp_context)
+        tables = lower_jobs(cube, schedules)
         t0 = 0.0
         for s in range(steps):
             step_report = _run_step_sim(
-                workload, s, t0, schedules, cube, machine
+                workload, s, t0, schedules, tables, cube, machine
             )
             report.steps.append(step_report)
             t0 = step_report.end

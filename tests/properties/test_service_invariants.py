@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.service import run_service
 from repro.service.jobs import JobSpec
-from repro.sim.lowering import lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
 from repro.topology import Hypercube
@@ -55,12 +54,9 @@ def service_case(draw):
     return Hypercube(n), specs, pm, policy
 
 
-def _execution_records(cube, view):
+def _execution_records(view):
     """(link index, src, dst, start, cost) per executed transfer."""
-    program = view.program
-    low = lower_schedule(
-        cube, program.schedule, program.initial, program.release_times
-    )
+    low = view.program.lowered
     machine = MachineParams()
     log = view.raw.transfer_log
     out = []
@@ -93,7 +89,7 @@ class TestServiceInvariants:
         result = run_service(cube, specs, port_model=pm, policy=policy)
         view = result.view
         assert view is not None
-        records = _execution_records(cube, view)
+        records = _execution_records(view)
 
         # -- link exclusivity ------------------------------------------
         by_link: dict[int, list[tuple[float, float]]] = {}

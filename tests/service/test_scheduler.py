@@ -14,7 +14,7 @@ from repro.service import (
     run_service,
 )
 from repro.sim.ports import PortModel
-from repro.topology import Hypercube
+from repro.topology import Hypercube, Torus
 
 
 def _jobs(*specs):
@@ -134,6 +134,12 @@ class TestAccounting:
         assert blob["policy"] == "fifo"
         assert blob["jobs_accepted"] == 1
         assert blob["tenants"]["t"]["completion_time"]["p99"] > 0
+
+    def test_non_hypercube_rejected_up_front(self):
+        with pytest.raises(ValueError, match=r"hypercube only.*Torus"):
+            CollectiveService(Torus(2, 4))
+        with pytest.raises(ValueError, match=r"hypercube only.*Torus"):
+            run_service(Torus(2, 4), _jobs(dict(tenant="t")))
 
     def test_submit_validates_source(self):
         service = CollectiveService(Hypercube(3))

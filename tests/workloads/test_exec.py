@@ -6,8 +6,10 @@ import math
 
 import pytest
 
+import repro.service.exec
 from repro.sim.faults import FaultError, FaultPlan
 from repro.workloads import (
+    WORKLOAD_SCENARIOS,
     PhaseSpec,
     Workload,
     WorkloadDAG,
@@ -261,3 +263,23 @@ class TestBackendsAndValidation:
         assert not math.isnan(d["summary"]["straggler_ratio_max"])
         phase_names = [p["name"] for p in d["steps"][0]["phases"]]
         assert phase_names == ["c", "b"]
+
+
+class TestLowerOnce:
+    def test_moe_step_lowers_each_distinct_schedule_once(self, monkeypatch):
+        """dispatch and combine share a table; re-simulations re-lower
+        nothing: 327,424 + 1,022 + 512 payload slots in all."""
+        lower = repro.service.exec.lower_schedule
+        slots = []
+
+        def counting(*args, **kwargs):
+            low = lower(*args, **kwargs)
+            slots.append(low.n_slots)
+            return low
+
+        monkeypatch.setattr(repro.service.exec, "lower_schedule", counting)
+        w = WORKLOAD_SCENARIOS["moe-alltoall"].build(0)
+        report = run_workload(w, 1)
+        assert len(slots) == 3
+        assert sum(slots) == 328_958
+        assert not any(p.degraded for p in report.steps[0].phases)
