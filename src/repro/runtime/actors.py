@@ -97,10 +97,6 @@ class RuntimeResult:
             still complete delivery after these).
         repair_rounds: timeout/repair cycles that ran (repair mode).
         trace: structured event trace, when tracing was enabled.
-        shard_traces: per-shard traces of a sharded run (``trace`` is
-            then their time-ordered merge).
-        sharding: clock-protocol telemetry of a sharded run
-            (:class:`repro.runtime.sharded.ShardRunStats`).
     """
 
     time: float
@@ -112,8 +108,6 @@ class RuntimeResult:
     fault_events: list[FaultEvent] = field(default_factory=list)
     repair_rounds: int = 0
     trace: RuntimeTrace | None = None
-    shard_traces: dict[int, RuntimeTrace] | None = None
-    sharding: object | None = None
 
 
 @dataclass(slots=True)
@@ -693,8 +687,6 @@ def run_collective(
     on_fault: str = "raise",
     detect_timeout: float | None = None,
     trace: bool = False,
-    workers: int | None = None,
-    start_method: str | None = None,
 ) -> RuntimeResult | DegradedResult:
     """Build local programs and execute them on a virtual cluster.
 
@@ -702,17 +694,7 @@ def run_collective(
     it through :func:`repro.sim.engine.run_async` — same parameters,
     same result shape, but every routing decision is taken by the node
     actors from their own addresses.
-
-    ``workers`` > 1 executes the cluster sharded across that many
-    processes (:mod:`repro.runtime.sharded`): a power of two up to the
-    node count, or ``0`` for "largest power of two the machine has
-    cores for".  ``start_method`` picks the ``multiprocessing`` start
-    method (default ``fork``, env ``REPRO_START_METHOD``); the
-    observables are bit-identical either way.
     """
-    from repro.runtime.partition import resolve_workers
-
-    k = resolve_workers(cube.dimension, workers)
     program = build_cluster_program(
         cube,
         op,
@@ -724,19 +706,6 @@ def run_collective(
         order=order,
         subtree_order=subtree_order,
     )
-    if k > 1:
-        from repro.runtime.sharded import run_sharded
-
-        return run_sharded(
-            cube,
-            program,
-            machine=machine,
-            faults=faults,
-            on_fault=on_fault,
-            trace=trace,
-            workers=k,
-            start_method=start_method,
-        )
     cluster = VirtualCluster(
         cube,
         program,

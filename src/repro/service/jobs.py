@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.collectives.api import SCHEDULE_OPS
+from repro.collectives.api import OP_ALGORITHMS, SCHEDULE_OPS
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
 
@@ -37,7 +37,9 @@ class JobSpec:
         tenant: tenant identity (accounting + fair-share bucket).
         op: collective kind — one of
             :data:`repro.collectives.api.SCHEDULE_OPS`.
-        algorithm: algorithm within the op (default per op, see
+        algorithm: algorithm within the op — one of
+            :data:`repro.collectives.api.OP_ALGORITHMS` for ``op``
+            (default per op, see
             :data:`repro.collectives.api.DEFAULT_ALGORITHMS`).
         source: root node (rooted ops; ignored otherwise).
         message_elems: message size ``M`` (per destination for the
@@ -63,6 +65,12 @@ class JobSpec:
         if self.op not in SCHEDULE_OPS:
             raise ValueError(
                 f"op must be one of {SCHEDULE_OPS}, got {self.op!r}"
+            )
+        allowed = OP_ALGORITHMS[self.op]
+        if self.algorithm is not None and self.algorithm not in allowed:
+            raise ValueError(
+                f"tenant {self.tenant!r}: {self.op} implements {allowed}, "
+                f"got algorithm {self.algorithm!r}"
             )
         if self.arrival < 0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.collectives.api import ROOTED_OPS, SCHEDULE_OPS
+from repro.collectives.api import OP_ALGORITHMS, ROOTED_OPS, SCHEDULE_OPS
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
@@ -51,8 +51,10 @@ class PhaseSpec:
         op: collective kind from
             :data:`repro.collectives.SCHEDULE_OPS`, or ``None`` for a
             pure compute phase.
-        algorithm: algorithm within the op (``None`` = the op default,
-            see :data:`repro.collectives.api.DEFAULT_ALGORITHMS`).
+        algorithm: algorithm within the op — one of
+            :data:`repro.collectives.api.OP_ALGORITHMS` for ``op``
+            (``None`` = the op default, see
+            :data:`repro.collectives.api.DEFAULT_ALGORITHMS`).
         source: root node (rooted ops only).
         message_elems: message size ``M`` (per destination for the
             personalized ops).
@@ -83,6 +85,15 @@ class PhaseSpec:
             raise ValueError(
                 f"phase {self.name!r}: op must be None or one of "
                 f"{SCHEDULE_OPS}, got {self.op!r}"
+            )
+        if (
+            self.op is not None
+            and self.algorithm is not None
+            and self.algorithm not in OP_ALGORITHMS[self.op]
+        ):
+            raise ValueError(
+                f"phase {self.name!r}: {self.op} implements "
+                f"{OP_ALGORITHMS[self.op]}, got algorithm {self.algorithm!r}"
             )
         if self.compute < 0:
             raise ValueError(

@@ -70,14 +70,3 @@ class TestDifferentialFull:
         assert report.ok
         assert report.points == 72  # 4 ops x 3 port models x 3 M x 2 B
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-    def test_full_grid_sharded(self, n, workers):
-        # the same acceptance grid against the sharded runtime: every
-        # tree x port model point, K workers, still engine-identical
-        report = differential_grid(
-            dims=(n,), messages=(1, 64, 1000), packets=(1, 32),
-            fail_fast=True, workers=workers, start_method="thread",
-        )
-        assert report.ok
-        assert report.points == 72

@@ -26,6 +26,11 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="op must be one of"):
             JobSpec(tenant="t", op="allscatter")
 
+    def test_rejects_unsupported_algorithm_at_construction(self):
+        with pytest.raises(ValueError, match=r"tenant 'hog': broadcast .*'bst'"):
+            JobSpec(tenant="hog", op="broadcast", algorithm="bst")
+        JobSpec(tenant="t", op="gather", algorithm="bst")  # scatter's table
+
     def test_rejects_negative_arrival(self):
         with pytest.raises(ValueError, match="arrival"):
             JobSpec(tenant="t", arrival=-1.0)

@@ -35,6 +35,11 @@ class TestPhaseSpec:
         with pytest.raises(ValueError, match="op must be None or one of"):
             PhaseSpec("x", op="allscatter")
 
+    def test_unsupported_algorithm_rejected(self):
+        with pytest.raises(ValueError, match=r"phase 'p': broadcast .*'bst'"):
+            PhaseSpec("p", op="broadcast", algorithm="bst")
+        PhaseSpec("a", op="alltoall", algorithm="bst")
+
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             PhaseSpec("")
