@@ -9,7 +9,7 @@ differences on the iPSC model stay small.
 
 from repro.routing import bst_scatter_schedule
 from repro.sim import IPSC_D7, PortModel
-from repro.sim.engine import run_async
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology import Hypercube
 
 
@@ -20,7 +20,7 @@ def _times(n: int, M: int) -> dict[str, float]:
         sched = bst_scatter_schedule(
             cube, 0, M, M, PortModel.ONE_PORT_HALF, subtree_order=order
         )
-        res = run_async(
+        res = run_async_vectorized(
             cube, sched, PortModel.ONE_PORT_HALF,
             {0: set(sched.chunk_sizes)}, IPSC_D7,
         )

@@ -10,7 +10,7 @@ times under the event engine.
 
 from repro.routing import sbt_broadcast_schedule
 from repro.sim import PortModel, UNIT_COST, run_synchronous
-from repro.sim.engine import run_async
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology import Hypercube
 
 
@@ -23,7 +23,9 @@ def _compare(n: int, M: int, B: int) -> dict[str, dict[str, float]]:
         )
         init = {0: set(sched.chunk_sizes)}
         sync = run_synchronous(cube, sched, PortModel.ONE_PORT_FULL, init)
-        asy = run_async(cube, sched, PortModel.ONE_PORT_FULL, init, UNIT_COST)
+        asy = run_async_vectorized(
+            cube, sched, PortModel.ONE_PORT_FULL, init, UNIT_COST
+        )
         # time at which the last node receives its FIRST chunk
         first_round = None
         seen = {0}

@@ -9,7 +9,7 @@ import pytest
 
 from repro import cache
 from repro.routing import bst_scatter_schedule, msbt_broadcast_schedule
-from repro.sim import IPSC_D7, PortModel, run_async, run_synchronous
+from repro.sim import IPSC_D7, PortModel, run_async_vectorized, run_synchronous
 from repro.topology import Hypercube
 from repro.trees.vectorized import bst_subtree_sizes_array
 
@@ -73,17 +73,19 @@ def test_perf_lockstep_engine(benchmark, big_broadcast):
 def test_perf_event_engine(benchmark, big_broadcast):
     cube, sched = big_broadcast
     init = {0: set(sched.chunk_sizes)}
-    res = benchmark(run_async, cube, sched, PortModel.ONE_PORT_FULL, init, IPSC_D7)
+    res = benchmark(
+        run_async_vectorized, cube, sched, PortModel.ONE_PORT_FULL, init, IPSC_D7
+    )
     assert res.time > 0
 
 
 def test_perf_event_engine_n10(benchmark, huge_broadcast):
-    # ~60k transfers; only feasible on the indexed engine (the rescan
-    # engine needs minutes here), so a single round keeps wall time low
+    # ~60k transfers (the reference rescan engine needs minutes here),
+    # so a single round keeps wall time low
     cube, sched = huge_broadcast
     init = {0: set(sched.chunk_sizes)}
     res = benchmark.pedantic(
-        run_async,
+        run_async_vectorized,
         args=(cube, sched, PortModel.ONE_PORT_FULL, init, IPSC_D7),
         rounds=1,
         iterations=1,

@@ -1,7 +1,7 @@
 """Benchmark-regression suite: canonical workloads pinned in BENCH_ENGINE.json.
 
-The workloads cover the two engines and the schedule-generation path
-(cold and cached).  ``scripts/bench_compare.py`` runs this file with
+The workloads cover the event engine, the lock-step engine and the
+schedule-generation path (cold and cached).  ``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
 against the medians recorded in ``BENCH_ENGINE.json`` at the repo root;
 ``--update`` refreshes the baseline.  Run the suite directly with::
@@ -19,7 +19,6 @@ from repro.routing import msbt_broadcast_schedule
 from repro.sim import (
     IPSC_D7,
     PortModel,
-    run_async,
     run_async_vectorized,
     run_synchronous,
 )
@@ -42,27 +41,17 @@ def workload_n10():
     return _msbt_workload(10)
 
 
-def test_regress_event_engine_n7(benchmark, workload_n7):
+def test_regress_vectorized_engine_n7(benchmark, workload_n7):
     cube, sched = workload_n7
     init = {0: set(sched.chunk_sizes)}
-    res = benchmark(run_async, cube, sched, PortModel.ONE_PORT_FULL, init, IPSC_D7)
-    assert res.time > 0
-
-
-def test_regress_event_engine_n10(benchmark, workload_n10):
-    # ~60k transfers; a single round keeps total wall time reasonable
-    cube, sched = workload_n10
-    init = {0: set(sched.chunk_sizes)}
-    res = benchmark.pedantic(
-        run_async,
-        args=(cube, sched, PortModel.ONE_PORT_FULL, init, IPSC_D7),
-        rounds=1,
-        iterations=1,
+    res = benchmark(
+        run_async_vectorized, cube, sched, PortModel.ONE_PORT_FULL, init, IPSC_D7
     )
     assert res.time > 0
 
 
 def test_regress_vectorized_engine_n10(benchmark, workload_n10):
+    # ~60k transfers; a single round keeps total wall time reasonable
     cube, sched = workload_n10
     init = {0: set(sched.chunk_sizes)}
     res = benchmark.pedantic(
@@ -75,8 +64,7 @@ def test_regress_vectorized_engine_n10(benchmark, workload_n10):
 
 
 def test_regress_vectorized_engine_n12(benchmark):
-    # ~246k transfers — indexed-engine territory measured in minutes;
-    # only the vectorized engine runs a large cube in the suite
+    # ~246k transfers: the largest cube the suite runs
     cube, sched = _msbt_workload(12)
     init = {0: set(sched.chunk_sizes)}
     res = benchmark.pedantic(

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Sequence
 from contextlib import nullcontext
@@ -46,7 +45,6 @@ from repro.collectives.api import (
     scatter,
 )
 from repro.obs import configure_logging, profiled, write_metrics_json
-from repro.sim.dispatch import ENGINES
 from repro.sim.faults import FaultError, FaultPlan
 from repro.sim.machine import IPSC_D7, MachineParams
 from repro.sim.ports import PortModel
@@ -80,7 +78,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None, metavar="DIR",
         help="persist generated trees/schedules under DIR "
              "(default: REPRO_CACHE_DIR)")
-    _add_engine_option(parser)
 
 
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:
@@ -92,14 +89,6 @@ def _add_topology_options(parser: argparse.ArgumentParser) -> None:
         "--k", type=int, default=3, metavar="K",
         help="torus arity (nodes per ring; --topology torus only; "
              "default 3)")
-
-
-def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="event-engine implementation (default: REPRO_ENGINE or "
-             "indexed; vectorized is bit-identical and much faster on "
-             "large cubes)")
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -215,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(concurrent phases contend); runtime: execute "
                          "each phase on the actor runtime (serial DAGs "
                          "of broadcast/scatter only)")
-    wr.add_argument("--engine", choices=ENGINES, default=None,
-                    help="event engine; the merged-program lowering "
-                         "requires 'vectorized' (the default)")
     wr.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes for schedule pregeneration "
                          "(default: 1; 0 = all cores); output is "
@@ -272,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--profile", action="store_true",
                        help="capture a cProfile of the collective and "
                             "print the hottest functions")
-        _add_engine_option(c)
         _add_obs_options(c)
 
     rd = sub.add_parser(
@@ -294,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="port model: half (1 s or r), full (1 s and r), all")
     rd.add_argument("--ipsc", action="store_true",
                     help="use the iPSC/d7 machine model and the event engine")
-    _add_engine_option(rd)
     _add_obs_options(rd)
 
     ar = sub.add_parser(
@@ -320,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="port model: half (1 s or r), full (1 s and r), all")
     ar.add_argument("--ipsc", action="store_true",
                     help="use the iPSC/d7 machine model and the event engine")
-    _add_engine_option(ar)
     _add_obs_options(ar)
 
     ab = sub.add_parser(
@@ -336,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="port model: half (1 s or r), full (1 s and r), all")
     ab.add_argument("--ipsc", action="store_true",
                     help="use the iPSC/d7 machine model and the event engine")
-    _add_engine_option(ab)
     _add_obs_options(ab)
     return parser
 
@@ -496,7 +478,7 @@ def _run_workload_command(args: argparse.Namespace) -> int:
         workload = scenario.build(args.seed)
         report = run_workload(
             workload, args.steps,
-            engine=args.engine, backend=args.backend, jobs=args.jobs,
+            backend=args.backend, jobs=args.jobs,
         )
     except (ValueError, FaultError) as exc:
         print(str(exc), file=sys.stderr)
@@ -556,7 +538,7 @@ def _run_reduction_command(args: argparse.Namespace) -> int:
                 cube, args.root,
                 message_elems=args.message, packet_elems=args.packet,
                 port_model=port_model, machine=machine,
-                run_event_sim=args.ipsc, engine=args.engine,
+                run_event_sim=args.ipsc,
                 algorithm=args.algorithm,
             )
         elif args.command == "allreduce":
@@ -564,15 +546,14 @@ def _run_reduction_command(args: argparse.Namespace) -> int:
                 cube,
                 message_elems=args.message, packet_elems=args.packet,
                 port_model=port_model, machine=machine,
-                run_event_sim=args.ipsc, engine=args.engine,
-                root=args.root,
+                run_event_sim=args.ipsc, root=args.root,
                 reduce_algorithm=args.reduce_algorithm,
                 broadcast_algorithm=args.broadcast_algorithm,
             )
         else:  # all-broadcast
             result = all_broadcast(
                 cube, message_elems=args.message, port_model=port_model,
-                machine=machine, run_event_sim=args.ipsc, engine=args.engine,
+                machine=machine, run_event_sim=args.ipsc,
             )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -617,14 +598,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    # table/figure/sweep runners reach the engines through many layers;
-    # the environment default is the documented channel for them (the
-    # sweep executor re-exports it to its workers).
-    if getattr(args, "engine", None) and args.command in (
-        "table", "figure", "sweep"
-    ):
-        os.environ["REPRO_ENGINE"] = args.engine
-
     if args.command == "table":
         from repro import experiments
 
@@ -689,7 +662,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 on_fault=args.on_fault,
                 backend=args.backend,
                 trace=want_trace,
-                engine=args.engine,
             )
     except FaultError as exc:
         print(f"fault: {exc}", file=sys.stderr)

@@ -58,7 +58,7 @@ from repro.runtime.rules import (
     RUNTIME_BROADCAST_ALGORITHMS,
     RUNTIME_SCATTER_ALGORITHMS,
 )
-from repro.sim.dispatch import get_engine
+from repro.sim import vectorized
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
@@ -152,6 +152,16 @@ def default_algorithm(cube: Topology, op: str) -> str:
     raise TypeError(
         f"no default algorithm for topology {type(cube).__name__}"
     )
+
+
+def _check_port_model(port_model: PortModel) -> None:
+    """Reject anything but a :class:`PortModel` member up front."""
+    if not isinstance(port_model, PortModel):
+        members = ", ".join(f"PortModel.{m.name}" for m in PortModel)
+        raise TypeError(
+            f"port_model must be a PortModel ({members}), "
+            f"got {port_model!r}"
+        )
 
 
 def _resolve_algorithm(cube: Topology, op: str, algorithm: str | None) -> str:
@@ -288,7 +298,6 @@ def _run(
     on_fault: str = "raise",
     undelivered: frozenset[int] = frozenset(),
     collector: RunCollector | None = None,
-    engine: str | None = None,
 ) -> CollectiveResult:
     collector = collector or RunCollector("-", schedule.algorithm)
     with collector.phase("sync"):
@@ -297,9 +306,8 @@ def _run(
             faults=faults, on_fault=on_fault,
         )
     if run_event_sim:
-        run_async = get_engine(engine)
         with collector.phase("async"):
-            async_ = run_async(
+            async_ = vectorized.run_async_vectorized(
                 cube, schedule, port_model, initial, machine,
                 faults=faults, on_fault=on_fault,
             )
@@ -327,7 +335,6 @@ def broadcast(
     on_fault: str = "raise",
     backend: str = "sim",
     trace: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Broadcast ``message_elems`` from ``source`` to every other node.
 
@@ -364,11 +371,8 @@ def broadcast(
             ``result.async_``, so ``run_event_sim`` is implied.
         trace: record a per-packet :class:`repro.runtime.RuntimeTrace`
             on ``result.async_.trace`` (runtime backend only).
-        engine: event-engine implementation for ``run_event_sim``
-            (see :data:`repro.sim.ENGINES`; default: ``REPRO_ENGINE``
-            or ``"indexed"``; ``"vectorized"`` is bit-identical and
-            much faster on large cubes).
     """
+    _check_port_model(port_model)
     packet_elems = message_elems if packet_elems is None else packet_elems
     algorithm = _resolve_algorithm(cube, "broadcast", algorithm)
     if backend not in BACKENDS:
@@ -384,7 +388,6 @@ def broadcast(
         return _broadcast_with_faults(
             cube, source, algorithm, message_elems, packet_elems,
             port_model, machine, run_event_sim, faults, on_fault,
-            engine=engine,
         )
     collector = RunCollector("broadcast", algorithm, topology=cube.kind)
     with collector.phase("schedule"):
@@ -394,7 +397,7 @@ def broadcast(
     initial = {source: set(sched.chunk_sizes)}
     result = _run(
         cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+        collector=collector,
     )
     _check_broadcast_delivery(cube, result)
     collector.finalize(result)
@@ -454,7 +457,6 @@ def _broadcast_with_faults(
     run_event_sim: bool,
     faults: FaultPlan,
     on_fault: str,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Fault-routed broadcast: degraded MSBT when possible, else FAST.
 
@@ -493,7 +495,7 @@ def _broadcast_with_faults(
         cube, sched, port_model, initial, machine, run_event_sim,
         faults=faults, on_fault=on_fault,
         undelivered=frozenset(cube.nodes()) - covered,
-        collector=collector, engine=engine,
+        collector=collector,
     )
     _check_broadcast_delivery(cube, result, covered=covered)
     collector.finalize(result)
@@ -514,7 +516,6 @@ def scatter(
     on_fault: str = "raise",
     backend: str = "sim",
     trace: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Send a distinct ``message_elems`` message from ``source`` to each node.
 
@@ -545,9 +546,8 @@ def scatter(
             (``"sbt"``/``"bst"`` only).
         trace: record a per-packet :class:`repro.runtime.RuntimeTrace`
             on ``result.async_.trace`` (runtime backend only).
-        engine: event-engine implementation for ``run_event_sim``
-            (see :data:`repro.sim.ENGINES`).
     """
+    _check_port_model(port_model)
     packet_elems = message_elems if packet_elems is None else packet_elems
     algorithm = _resolve_algorithm(cube, "scatter", algorithm)
     if backend not in BACKENDS:
@@ -576,7 +576,7 @@ def scatter(
             cube, sched, port_model, initial, machine, run_event_sim,
             faults=faults, on_fault=on_fault,
             undelivered=frozenset(cube.nodes()) - tree.covered,
-            collector=collector, engine=engine,
+            collector=collector,
         )
         _check_scatter_delivery(cube, source, result, covered=tree.covered)
         collector.finalize(result)
@@ -588,7 +588,7 @@ def scatter(
     initial = {source: set(sched.chunk_sizes)}
     result = _run(
         cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+        collector=collector,
     )
     _check_scatter_delivery(cube, source, result)
     collector.finalize(result)
@@ -637,7 +637,6 @@ def gather(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Collect a distinct ``message_elems`` message from every node at ``root``.
 
@@ -646,6 +645,7 @@ def gather(
     ``algorithm=None`` resolves per topology (``"bst"`` on the
     hypercube, ``"ring"`` on the torus).
     """
+    _check_port_model(port_model)
     packet_elems = message_elems if packet_elems is None else packet_elems
     algorithm = _resolve_algorithm(cube, "gather", algorithm)
     collector = RunCollector("gather", algorithm, topology=cube.kind)
@@ -659,7 +659,7 @@ def gather(
     }
     result = _run(
         cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+        collector=collector,
     )
     if not result.sync.holdings[root] >= set(sched.chunk_sizes):
         raise AssertionError("gather failed to collect every message at the root")
@@ -675,7 +675,6 @@ def reduce(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
-    engine: str | None = None,
     algorithm: str | None = None,
 ) -> CollectiveResult:
     """Combine an ``message_elems`` operand from every node at ``root``.
@@ -684,6 +683,7 @@ def reduce(
     spanning binomial tree, §3 of the paper) on the hypercube,
     ``"ring"`` (the reversed ring-decomposition tree) on the torus.
     """
+    _check_port_model(port_model)
     packet_elems = message_elems if packet_elems is None else packet_elems
     algorithm = _resolve_algorithm(cube, "reduce", algorithm)
     collector = RunCollector("reduce", algorithm, topology=cube.kind)
@@ -693,7 +693,7 @@ def reduce(
         )
     result = _run(
         cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+        collector=collector,
     )
     collector.finalize(result)
     return result
@@ -734,7 +734,6 @@ def allreduce(
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
     broadcast_algorithm: str | None = None,
-    engine: str | None = None,
     root: int = 0,
     reduce_algorithm: str | None = None,
 ) -> AllreduceResult:
@@ -765,12 +764,12 @@ def allreduce(
     with collector.phase("reduce"):
         phase1 = reduce(
             cube, root, message_elems, packet_elems, port_model, machine,
-            run_event_sim, engine=engine, algorithm=reduce_algorithm,
+            run_event_sim, algorithm=reduce_algorithm,
         )
     with collector.phase("broadcast"):
         phase2 = broadcast(
             cube, root, broadcast_algorithm, message_elems, packet_elems,
-            port_model, machine, run_event_sim, engine=engine,
+            port_model, machine, run_event_sim,
         )
     result = AllreduceResult(reduce=phase1, broadcast=phase2)
     collector.finalize(result)
@@ -783,9 +782,9 @@ def allgather(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """All-to-all broadcast: every node ends holding every contribution."""
+    _check_port_model(port_model)
     collector = RunCollector(
         "allgather", "dimension-exchange", topology=cube.kind
     )
@@ -794,7 +793,7 @@ def allgather(
     initial = allgather_initial_holdings(cube)
     result = _run(
         cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+        collector=collector,
     )
     for v in cube.nodes():
         if len(result.sync.holdings[v]) != cube.num_nodes:
@@ -809,7 +808,6 @@ def all_broadcast(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """All-to-all broadcast on any topology: every node learns every
     contribution.
@@ -820,6 +818,7 @@ def all_broadcast(
     around the dimension's rings (bidirectionally under the all-port
     model, as arc matchings under half-duplex).
     """
+    _check_port_model(port_model)
     algorithm = default_algorithm(cube, "all_broadcast")
     collector = RunCollector("all_broadcast", algorithm, topology=cube.kind)
     with collector.phase("schedule"):
@@ -827,7 +826,7 @@ def all_broadcast(
     initial = all_broadcast_initial_holdings(cube)
     result = _run(
         cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+        collector=collector,
     )
     for v in cube.nodes():
         if len(result.sync.holdings[v]) != cube.num_nodes:
@@ -843,7 +842,6 @@ def alltoall_personalized(
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
     algorithm: str = "dimension-exchange",
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Total exchange: node ``i`` sends a distinct message to every ``j``.
 
@@ -852,6 +850,7 @@ def alltoall_personalized(
     extension, which is about ``log N`` times faster in transfer time
     under the all-port model (and requires it).
     """
+    _check_port_model(port_model)
     collector = RunCollector("alltoall", algorithm, topology=cube.kind)
     with collector.phase("schedule"):
         if algorithm == "dimension-exchange":
@@ -870,7 +869,7 @@ def alltoall_personalized(
     initial = alltoall_initial_holdings(cube)
     result = _run(
         cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+        collector=collector,
     )
     for v in cube.nodes():
         got = {c for c in result.sync.holdings[v] if c[2] == v}
@@ -923,6 +922,7 @@ def collective_schedule(
     """
     if op not in SCHEDULE_OPS:
         raise ValueError(f"op must be one of {SCHEDULE_OPS}, got {op!r}")
+    _check_port_model(port_model)
     algorithm = _resolve_algorithm(cube, op, algorithm)
     packet_elems = message_elems if packet_elems is None else packet_elems
     if op == "broadcast":

@@ -47,7 +47,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.cache.disk import configure_disk, disk_cache
 from repro.obs.instruments import CACHE_OPS, sweep_finished
-from repro.sim.dispatch import resolve_engine
 from repro.sim.trace import LinkStats
 
 __all__ = [
@@ -291,18 +290,10 @@ def _run_point(
     )
 
 
-def _worker_init(cache_dir: str | None, engine: str | None = None) -> None:
-    """Pool initializer: disk-cache dir and event-engine default.
-
-    The engine choice travels as ``REPRO_ENGINE`` (the
-    :func:`repro.sim.dispatch.resolve_engine` default) rather than a
-    per-point kwarg, so existing experiment point functions pick it up
-    without signature changes.
-    """
+def _worker_init(cache_dir: str | None) -> None:
+    """Pool initializer: point the worker's disk cache at ``cache_dir``."""
     if cache_dir is not None:
         configure_disk(cache_dir)
-    if engine is not None:
-        os.environ["REPRO_ENGINE"] = engine
 
 
 def _run_chunk(
@@ -318,7 +309,6 @@ def run_sweep(
     jobs: int | None = None,
     chunksize: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    engine: str | None = None,
 ) -> SweepResult:
     """Execute ``fn(**point)`` for every point, possibly in parallel.
 
@@ -332,11 +322,6 @@ def run_sweep(
         cache_dir: enable the on-disk cache at this directory for the
             duration of the sweep, in the parent and every worker
             (default: whatever ``REPRO_CACHE_DIR`` says).
-        engine: event-engine implementation for the sweep's duration
-            (``"indexed"``/``"vectorized"``/``"reference"``), exported
-            as ``REPRO_ENGINE`` to the parent and every worker so point
-            functions that run collectives pick it up without
-            signature changes (default: leave the environment alone).
 
     Returns:
         A :class:`SweepResult` whose ``values[i]`` is ``fn(**points[i])``
@@ -345,59 +330,48 @@ def run_sweep(
     indexed = [(i, dict(p)) for i, p in enumerate(points)]
     jobs = resolve_jobs(jobs)
     dir_ctx = disk_cache(cache_dir) if cache_dir is not None else nullcontext()
-    prev_engine = os.environ.get("REPRO_ENGINE")
-    if engine is not None:
-        engine = resolve_engine(engine)
-        os.environ["REPRO_ENGINE"] = engine
     t0 = time.perf_counter()
-    try:
-        with dir_ctx:
-            if jobs == 1 or len(indexed) <= 1:
-                return _run_serial(fn, indexed, jobs, "serial", t0)
-            chunksize = chunksize or max(
-                1, ceil(len(indexed) / (jobs * CHUNKS_PER_WORKER))
+    with dir_ctx:
+        if jobs == 1 or len(indexed) <= 1:
+            return _run_serial(fn, indexed, jobs, "serial", t0)
+        chunksize = chunksize or max(
+            1, ceil(len(indexed) / (jobs * CHUNKS_PER_WORKER))
+        )
+        chunks = [
+            indexed[i : i + chunksize]
+            for i in range(0, len(indexed), chunksize)
+        ]
+        init_dir = str(cache_dir) if cache_dir is not None else None
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=min(jobs, len(chunks)),
+                initializer=_worker_init,
+                initargs=(init_dir,),
             )
-            chunks = [
-                indexed[i : i + chunksize]
-                for i in range(0, len(indexed), chunksize)
+        except (OSError, ValueError, NotImplementedError):
+            # no usable multiprocessing on this platform — degrade
+            # gracefully rather than failing the sweep
+            return _run_serial(fn, indexed, jobs, "serial-fallback", t0)
+        values: list[Any] = [None] * len(indexed)
+        point_stats: list[PointStats] = []
+        with pool:
+            futures = [
+                pool.submit(_run_chunk, fn, chunk) for chunk in chunks
             ]
-            init_dir = str(cache_dir) if cache_dir is not None else None
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(jobs, len(chunks)),
-                    initializer=_worker_init,
-                    initargs=(init_dir, engine),
-                )
-            except (OSError, ValueError, NotImplementedError):
-                # no usable multiprocessing on this platform — degrade
-                # gracefully rather than failing the sweep
-                return _run_serial(fn, indexed, jobs, "serial-fallback", t0)
-            values: list[Any] = [None] * len(indexed)
-            point_stats: list[PointStats] = []
-            with pool:
-                futures = [
-                    pool.submit(_run_chunk, fn, chunk) for chunk in chunks
-                ]
-                for future in futures:
-                    for value, ps in future.result():
-                        values[ps.index] = value
-                        point_stats.append(ps)
-            point_stats.sort(key=lambda p: p.index)
-            stats = SweepStats(
-                jobs=jobs,
-                chunksize=chunksize,
-                executor="process-pool",
-                wall_s=time.perf_counter() - t0,
-                points=point_stats,
-            )
-            sweep_finished(stats)
-            return SweepResult(values=values, stats=stats)
-    finally:
-        if engine is not None:
-            if prev_engine is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = prev_engine
+            for future in futures:
+                for value, ps in future.result():
+                    values[ps.index] = value
+                    point_stats.append(ps)
+        point_stats.sort(key=lambda p: p.index)
+        stats = SweepStats(
+            jobs=jobs,
+            chunksize=chunksize,
+            executor="process-pool",
+            wall_s=time.perf_counter() - t0,
+            points=point_stats,
+        )
+        sweep_finished(stats)
+        return SweepResult(values=values, stats=stats)
 
 
 def _run_serial(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import ceil
+from numbers import Integral
 
 from repro.sim.schedule import Chunk
 
@@ -20,7 +21,19 @@ MSG = "m"
 
 
 def validate_message_args(message_elems: int, packet_elems: int) -> None:
-    """Common argument validation for all generators."""
+    """Common argument validation for all generators.
+
+    Sizes count whole elements: anything but an integer (``bool``
+    excluded; NumPy integers accepted) raises ``TypeError``.
+    """
+    for name, value in (
+        ("message_elems", message_elems), ("packet_elems", packet_elems)
+    ):
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise TypeError(
+                f"{name} must be an integer number of elements, "
+                f"got {value!r} ({type(value).__name__})"
+            )
     if message_elems < 1:
         raise ValueError(f"message size must be >= 1 element, got {message_elems}")
     if packet_elems < 1:

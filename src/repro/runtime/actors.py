@@ -17,7 +17,7 @@ Determinism
 asyncio interleaving never influences results: all contention is
 resolved by the priority keys of :mod:`repro.runtime.rules`, and the
 kernel admits competing sends in key order within each coalesced
-instant, mirroring :func:`repro.sim.engine.run_async` exactly.  The
+instant, mirroring :func:`repro.sim.vectorized.run_async_vectorized` exactly.  The
 differential harness (:mod:`repro.runtime.validate`) asserts
 completion times, link counters, and start-time profiles identical to
 the engine's.
@@ -691,9 +691,9 @@ def run_collective(
     """Build local programs and execute them on a virtual cluster.
 
     The distributed counterpart of generating a schedule and replaying
-    it through :func:`repro.sim.engine.run_async` — same parameters,
-    same result shape, but every routing decision is taken by the node
-    actors from their own addresses.
+    it through :func:`repro.sim.vectorized.run_async_vectorized` — same
+    parameters, same result shape, but every routing decision is taken
+    by the node actors from their own addresses.
     """
     program = build_cluster_program(
         cube,

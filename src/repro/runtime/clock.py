@@ -1,6 +1,7 @@
 """The runtime's virtual clock: event heaps with instant coalescing.
 
-This is the time-advance mechanism of :mod:`repro.sim.engine` lifted
+This is the event engine's time-advance mechanism (instant
+coalescing, as in :mod:`repro.sim._engine_reference`) lifted
 out of the engine loop and generalized from static transfer indices to
 dynamic priority keys (see :mod:`repro.runtime.rules`).  Three event
 kinds share one heap:

@@ -27,9 +27,9 @@ from repro.routing import (
     sbt_scatter_schedule,
 )
 from repro.runtime.actors import run_collective
-from repro.sim.engine import run_async
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology.hypercube import Hypercube
 
 __all__ = ["differential_check", "differential_grid", "GridReport"]
@@ -74,7 +74,7 @@ def differential_check(
     machine = machine or MachineParams()
     gen = _GENERATORS[(op, algorithm)]
     sched = gen(cube, source, message_elems, packet_elems, port_model)
-    engine = run_async(
+    engine = run_async_vectorized(
         cube,
         sched,
         port_model,

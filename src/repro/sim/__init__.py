@@ -4,19 +4,14 @@ Two engines over one schedule representation:
 
 * :func:`repro.sim.run_synchronous` — lock-step cycles with port-model
   validation (the paper's analytical step counts);
-* :func:`repro.sim.run_async` — event-driven timing with start-ups,
-  hardware packet splitting and cross-port overlap (the paper's iPSC
-  measurements).
-
-The event engine has interchangeable implementations (see
-:mod:`repro.sim.dispatch`): the default ``"indexed"`` object path and
-the ``"vectorized"`` array core (:func:`repro.sim.run_async_vectorized`),
-which compiles the schedule to flat NumPy tables via
-:func:`repro.sim.lower_schedule` and produces bit-identical results.
+* :func:`repro.sim.run_async_vectorized` — event-driven timing with
+  start-ups, hardware packet splitting and cross-port overlap (the
+  paper's iPSC measurements).  It compiles the schedule to flat NumPy
+  tables via :func:`repro.sim.lower_schedule` and is bit-identical to
+  the reference oracle in :mod:`repro.sim._engine_reference`.
 """
 
-from repro.sim.dispatch import ENGINES, get_engine, resolve_engine
-from repro.sim.engine import AsyncResult, run_async
+from repro.sim.engine import AsyncResult
 from repro.sim.faults import (
     DegradedResult,
     FaultError,
@@ -35,11 +30,7 @@ from repro.sim.vectorized import run_async_vectorized
 
 __all__ = [
     "AsyncResult",
-    "run_async",
     "run_async_vectorized",
-    "ENGINES",
-    "get_engine",
-    "resolve_engine",
     "LoweredSchedule",
     "lower_schedule",
     "DegradedResult",

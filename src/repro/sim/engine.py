@@ -1,115 +1,28 @@
-"""Asynchronous discrete-event execution of a routing schedule.
+"""Engine-neutral results of an asynchronous (event-driven) run.
 
-Where :mod:`repro.sim.synchronous` counts idealized lock-step cycles,
-this engine models what actual hardware (the Intel iPSC of §5) does
-with the same schedule:
+:func:`repro.sim.vectorized.run_async_vectorized` is the production
+event engine and :func:`repro.sim._engine_reference.run_async_reference`
+its oracle.  Both model what actual hardware (the Intel iPSC of §5)
+does with a schedule — per-packet start-ups, per-link occupancy,
+port-model channel capacity and cross-port ``overlap`` — and both
+return the :class:`AsyncResult` defined here (or a
+:class:`~repro.sim.faults.DegradedResult` under reported faults).
 
-* every transfer takes ``machine.send_cost(elems)`` wall-clock time
-  (start-up per internal hardware packet + proportional transfer);
-* a transfer starts as soon as — and no sooner than — its payload is
-  present at the sender, its directed link is free, and both endpoint
-  nodes have channel capacity under the active port model;
-* under the one-port models, consecutive actions of one node on
-  *different* ports may overlap by the machine's ``overlap`` fraction
-  (the iPSC's measured ~20 %, which §5.2 identifies as the reason the
-  BST scatter beats the SBT scatter on one-port hardware);
-* transfers compete in schedule order (program order), i.e. the round
-  structure provides priorities, not barriers.
-
-The engine is what regenerates the *measured* curves of Figures 5–8.
-
-Implementation
---------------
-The original engine rescanned the full pending list at every wake-up,
-which is O(T^2) in the number of transfers.  This implementation is
-dependency-indexed and runs in O(T log T + deliveries):
-
-* each pending transfer is registered in a ``(node, chunk) -> waiting
-  transfer ids`` map; a delivery re-examines exactly the transfers it
-  might unblock;
-* node channels prune completed actions on every occupation, so they
-  hold only the live overlap window (a handful of entries) instead of
-  the full action history, and admission checks are O(window);
-* an event heap of ``(time, pass, transfer id)`` drives time forward;
-  examinations due within ``_EPS`` of the current instant are processed
-  as one coalesced batch in program order, and the ``pass`` component
-  reproduces the original engine's fixpoint-scan ordering for
-  zero-duration cascades.  A per-transfer earliest-pending-examination
-  marker dedupes wake-ups so the heap stays bounded by the number of
-  genuinely distinct events.
-
-The reference implementation is preserved verbatim in
-:mod:`repro.sim._engine_reference`; the equivalence suite asserts both
-produce bit-identical results on every algorithm and port model.
+``_EPS`` is the instant-coalescing tolerance both engines share:
+event times within ``_EPS`` of each other count as one instant.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from time import perf_counter
 
-from repro.obs.instruments import engine_run_finished
-from repro.sim.faults import (
-    DegradedResult,
-    FaultError,
-    FaultEvent,
-    FaultPlan,
-    TransferLog,
-    _check_mode,
-    undelivered_map,
-)
-from repro.sim.machine import MachineParams
-from repro.sim.ports import PortModel
-from repro.sim.schedule import Chunk, Schedule, Transfer
+from repro.sim.faults import TransferLog
+from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
-from repro.topology.base import Topology
 
-__all__ = ["AsyncResult", "TransferLog", "run_async"]
+__all__ = ["AsyncResult", "TransferLog"]
 
 _EPS = 1e-12
-
-
-class _Channel:
-    """A serialized node channel with cross-port overlap.
-
-    A new action on port ``p`` may start once it is past the end of
-    every live action on ``p`` and past the overlap-release point
-    ``start + (1 - overlap) * duration`` of every live action on other
-    ports.  Each occupation prunes actions that ended before the new
-    start, so the list only ever holds the live overlap window — a
-    handful of entries, regardless of schedule length.  (The pruning
-    rule and constraint arithmetic match the reference engine exactly;
-    that is what keeps the two engines bit-identical.)
-    """
-
-    __slots__ = ("_overlap", "_actions", "blocked")
-
-    def __init__(self, overlap: float):
-        self._overlap = overlap
-        self._actions: list[tuple[int, float, float]] = []  # (port, start, end)
-        # Ready transfers currently deferred on this channel; their
-        # constraint is re-evaluated whenever the channel gains an
-        # action (see the dirty-channel sweep in run_async).
-        self.blocked: set[int] = set()
-
-    def earliest_start(self, port: int, now: float) -> float:
-        t = now
-        for p, s, e in self._actions:
-            if p == port:
-                if e > t:
-                    t = e
-            else:
-                r = s + (1.0 - self._overlap) * (e - s)
-                if r > t:
-                    t = r
-        return t
-
-    def occupy(self, port: int, start: float, end: float) -> None:
-        acts = self._actions
-        if acts:
-            self._actions = acts = [a for a in acts if a[2] > start + _EPS]
-        acts.append((port, start, end))
 
 
 @dataclass
@@ -136,354 +49,3 @@ class AsyncResult:
     transfers_executed: int = 0
     transfer_log: TransferLog | None = None
 
-
-def run_async(
-    cube: Topology,
-    schedule: Schedule,
-    port_model: PortModel,
-    initial_holdings: dict[int, set[Chunk]],
-    machine: MachineParams | None = None,
-    faults: FaultPlan | None = None,
-    on_fault: str = "raise",
-) -> AsyncResult | DegradedResult:
-    """Event-driven execution of ``schedule`` under ``port_model``.
-
-    Raises ``RuntimeError`` on deadlock — i.e. when a pending transfer's
-    payload can never arrive because the schedule is causally broken.
-
-    With a :class:`~repro.sim.faults.FaultPlan`, a transfer whose start
-    instant falls on a dead link or endpoint raises a structured
-    :class:`~repro.sim.faults.FaultError` (``on_fault="raise"``,
-    default) or is cancelled and reported (``on_fault="report"``):
-    the run then continues with the surviving transfers, transfers
-    starved by the cancellation cascade are dropped instead of
-    deadlocking, and a :class:`~repro.sim.faults.DegradedResult` names
-    every undelivered ``(node, chunk)``.  A faulted run that still
-    executes every transfer returns a plain :class:`AsyncResult`.
-    """
-    machine = machine or MachineParams()
-    _check_mode(on_fault)
-    report = faults is not None and on_fault == "report"
-    fault_events: list[FaultEvent] = []
-    lost: list[Transfer] = []
-    half = port_model.half_duplex
-    allport = port_model is PortModel.ALL_PORT
-    overlap = machine.overlap
-
-    # Chunk availability per node: time at which (node, chunk) is present.
-    avail: dict[tuple[int, Chunk], float] = {}
-    for node, chunks in initial_holdings.items():
-        for c in chunks:
-            avail[(node, c)] = 0.0
-
-    # Channels: one per node under ONE_PORT_HALF; separate send/recv
-    # channels under ONE_PORT_FULL; per-directed-link only under ALL_PORT.
-    send_ch: dict[int, _Channel] = {}
-    recv_ch: dict[int, _Channel] = {}
-
-    def _send_channel(node: int) -> _Channel:
-        ch = send_ch.get(node)
-        if ch is None:
-            ch = _Channel(overlap)
-            send_ch[node] = ch
-            if half:
-                recv_ch[node] = ch  # shared channel
-        return ch
-
-    def _recv_channel(node: int) -> _Channel:
-        ch = recv_ch.get(node)
-        if ch is None:
-            if half:
-                ch = _send_channel(node)
-            else:
-                ch = _Channel(overlap)
-                recv_ch[node] = ch
-        return ch
-
-    link_free: dict[tuple[int, int], float] = {}
-
-    transfers: list[Transfer] = schedule.all_transfers()
-    n_transfers = len(transfers)
-    sizes = [schedule.transfer_elems(t) for t in transfers]
-    cost_of: dict[int, float] = {}
-    costs = [
-        cost_of.setdefault(s, machine.send_cost(s)) for s in sizes
-    ]
-    done = [False] * n_transfers
-    remaining = n_transfers
-
-    # Dependency index: which pending transfers send (node, chunk).
-    waiters: dict[tuple[int, Chunk], list[int]] = {}
-    for idx, t in enumerate(transfers):
-        for c in t.chunks:
-            waiters.setdefault((t.src, c), []).append(idx)
-
-    stats = LinkStats()
-    start_times: list[float] = []
-    finish = 0.0
-    now = 0.0
-    cur_pass = 0
-    cur_idx = -1
-
-    # Telemetry accumulates in locals and flushes once per run (every
-    # exit path calls _flush), keeping the event loop free of registry
-    # work.
-    t0 = perf_counter()
-    events_n = 0
-    blocks_n = 0
-
-    def _flush(deadlocked: bool = False) -> None:
-        engine_run_finished(
-            "async", port_model,
-            transfers=len(start_times),
-            elems=stats.total_elems(),
-            seconds=perf_counter() - t0,
-            events=events_n,
-            admission_blocks=blocks_n,
-            faulted=len(lost),
-            deadlocked=deadlocked,
-        )
-
-    # Future examinations live in `events`, a heap of (time, pass, idx).
-    # Examinations due at the current instant (all times within _EPS of
-    # `now` count as one instant, exactly like the reference engine's
-    # wake-up coalescing) live in `batch`, a heap of (pass, idx, time):
-    # within one instant program order decides priority, not the
-    # sub-epsilon float representative an event happened to carry.
-    # `scheduled[idx]` tracks the earliest pending examination so
-    # duplicate wake-ups are never pushed (and stragglers from
-    # rescheduling are dropped on pop).
-    events: list[tuple[float, int, int]] = [
-        (0.0, 0, idx) for idx in range(n_transfers)
-    ]
-    batch: list[tuple[int, int, float]] = []
-    scheduled: list[float | None] = [0.0] * n_transfers
-
-    def _push_exam(w: int, te: float) -> None:
-        sc = scheduled[w]
-        if sc is not None and sc <= te + _EPS:
-            return  # an examination no later than te is already pending
-        scheduled[w] = te
-        if te <= now + _EPS:
-            # Same-instant re-examination: transfers at or before the
-            # cursor wait for the next pass (the reference engine's
-            # rescan), later ones are picked up in the current pass.
-            p = cur_pass if w > cur_idx else cur_pass + 1
-            heapq.heappush(batch, (p, w, te))
-        else:
-            heapq.heappush(events, (te, 0, w))
-
-    dirty: set[_Channel] = set()  # channels occupied since last sweep
-
-    while remaining:
-        if not batch:
-            # The reference engine rescans every pending transfer after
-            # each execution, re-pushing each blocked transfer's current
-            # channel constraint as a wake.  Those constraint values can
-            # be overlap-release points that exist nowhere else in the
-            # event stream, yet later serve as the instant another
-            # transfer's start snaps to — so re-evaluate the blocked
-            # transfers of every channel dirtied in the closed window
-            # and push their constraints as pure wakes.
-            if dirty:
-                seen: set[int] = set()
-                for ch in dirty:
-                    for w in list(ch.blocked):
-                        if done[w]:
-                            ch.blocked.discard(w)
-                            continue
-                        if w in seen:
-                            continue
-                        seen.add(w)
-                        tw = transfers[w]
-                        pw = cube.port_towards(tw.src, tw.dst)
-                        v = _send_channel(tw.src).earliest_start(pw, now)
-                        v2 = _recv_channel(tw.dst).earliest_start(pw, now)
-                        if v2 > v:
-                            v = v2
-                        lfw = link_free.get((tw.src, tw.dst))
-                        if lfw is not None and lfw > v:
-                            v = lfw
-                        heapq.heappush(events, (v, 0, -1))
-                dirty.clear()
-            # Advance time to the next instant with a live examination.
-            # Pure wakes (idx == -1: transfer ends and overlap releases)
-            # never trigger work themselves, but the reference engine
-            # advances `now` through them — so when a live examination
-            # falls within _EPS of the nearest pure wake, that wake's
-            # time is the instant's representative, exactly as it would
-            # have been the `now` at which the reference rescans.
-            cand = None  # earliest unresolved pure-wake time
-            while events:
-                te, p, idx = heapq.heappop(events)
-                if idx >= 0 and not done[idx]:
-                    sc = scheduled[idx]
-                    if sc is not None and sc >= te - _EPS:
-                        break  # a live examination
-                # Anything else — pure wakes, superseded examination
-                # times, wakes of already-executed transfers — is still
-                # a time the reference engine pushed, so it stays a
-                # candidate instant representative.
-                if te <= now + _EPS:
-                    continue  # coalesced into the previous instant
-                if cand is None or te > cand + _EPS:
-                    cand = te
-            else:
-                if report and fault_events:
-                    # Starvation cascade from cancelled transfers: the
-                    # pending payloads can never arrive.  Terminate the
-                    # degraded run instead of diagnosing a deadlock.
-                    break
-                stuck = [
-                    transfers[i] for i in range(n_transfers) if not done[i]
-                ][:4]
-                _flush(deadlocked=True)
-                raise RuntimeError(
-                    f"schedule deadlocked with {remaining} transfers pending, "
-                    f"e.g. {stuck}"
-                )
-            rep = cand if (cand is not None and te <= cand + _EPS) else te
-            if rep > now + _EPS:
-                now = rep
-            heapq.heappush(batch, (p, idx, te))
-            # Pull in every other examination due at this same instant.
-            while events and events[0][0] <= now + _EPS:
-                te2, p2, idx2 = heapq.heappop(events)
-                if idx2 < 0 or done[idx2]:
-                    continue
-                sc = scheduled[idx2]
-                if sc is None or sc < te2 - _EPS:
-                    continue
-                heapq.heappush(batch, (p2, idx2, te2))
-
-        p, idx, te = heapq.heappop(batch)
-        events_n += 1
-        if done[idx]:
-            continue
-        sc = scheduled[idx]
-        if sc is None or sc < te - _EPS:
-            continue  # stale duplicate; an earlier examination handled it
-        scheduled[idx] = None
-        cur_pass = p
-        cur_idx = idx
-
-        t = transfers[idx]
-        # Payload availability at the sender.
-        ready = 0.0
-        missing = False
-        for c in t.chunks:
-            a = avail.get((t.src, c))
-            if a is None:
-                missing = True
-                break
-            if a > ready:
-                ready = a
-        if missing:
-            continue  # parked; the delivery index will re-examine us
-        if ready > now + _EPS:
-            _push_exam(idx, ready)
-            continue
-
-        port = cube.port_towards(t.src, t.dst)
-        start = now
-        if not allport:
-            s = _send_channel(t.src).earliest_start(port, now)
-            if s > start:
-                start = s
-            s = _recv_channel(t.dst).earliest_start(port, now)
-            if s > start:
-                start = s
-        lf = link_free.get((t.src, t.dst))
-        if lf is not None and lf > start:
-            start = lf
-        if start > now + _EPS:
-            blocks_n += 1
-            if not allport:
-                _send_channel(t.src).blocked.add(idx)
-                _recv_channel(t.dst).blocked.add(idx)
-            _push_exam(idx, start)
-            continue
-
-        if faults is not None:
-            hit = faults.blocks(t.src, t.dst, start)
-            if hit is not None:
-                kind, subject = hit
-                if on_fault == "raise":
-                    _flush()
-                    raise FaultError(
-                        f"transfer {t.src}->{t.dst} blocked by dead {kind} "
-                        f"{subject} at t={start:.6g}; pending chunks "
-                        f"{sorted(map(repr, t.chunks))[:4]}",
-                        edge=(t.src, t.dst),
-                        node=subject if kind == "node" else None,
-                        time=start,
-                        chunks=t.chunks,
-                    )
-                fault_events.append(FaultEvent(t, start, kind, subject))
-                lost.append(t)
-                done[idx] = True
-                remaining -= 1
-                continue
-
-        dur = costs[idx]
-        end = start + dur
-        if not allport:
-            sch = _send_channel(t.src)
-            rch = _recv_channel(t.dst)
-            sch.occupy(port, start, end)
-            rch.occupy(port, start, end)
-            sch.blocked.discard(idx)
-            rch.blocked.discard(idx)
-            dirty.add(sch)
-            dirty.add(rch)
-            # Pure wake at the overlap-release point (reference pushes
-            # this in dur form; the channel constraint's end-start form
-            # is materialized by the dirty-channel sweep above).
-            heapq.heappush(events, (start + (1.0 - overlap) * dur, 0, -1))
-        heapq.heappush(events, (end, 0, -1))  # pure wake at completion
-        link_free[(t.src, t.dst)] = end
-        for c in t.chunks:
-            key = (t.dst, c)
-            a = avail.get(key)
-            if a is None or a > end:
-                avail[key] = end
-                ws = waiters.get(key)
-                if ws:
-                    for w in ws:
-                        if not done[w]:
-                            _push_exam(w, end)
-        stats.record(t.src, t.dst, sizes[idx])
-        start_times.append(start)
-        if end > finish:
-            finish = end
-        done[idx] = True
-        remaining -= 1
-
-    holdings: dict[int, set[Chunk]] = {node: set() for node in cube.nodes()}
-    for (node, chunk) in avail:
-        holdings[node].add(chunk)
-
-    start_times.sort()  # stable: equal start times keep execution order
-
-    if fault_events or remaining:
-        lost.extend(transfers[i] for i in range(n_transfers) if not done[i])
-        _flush()
-        return DegradedResult(
-            time=finish,
-            holdings=holdings,
-            link_stats=stats,
-            fault_events=fault_events,
-            undelivered=undelivered_map(lost, holdings),
-            transfers_executed=len(start_times),
-            transfers_lost=len(lost),
-            start_times=start_times,
-        )
-
-    _flush()
-    return AsyncResult(
-        time=finish,
-        holdings=holdings,
-        link_stats=stats,
-        start_times=start_times,
-        transfers_executed=n_transfers,
-    )

@@ -7,9 +7,9 @@ into an array-of-structs :class:`LoweredSchedule`:
 
 * per-transfer columns ``src``/``dst``/``port``/``link``/``elems`` —
   the port and the dense directed-link id are precomputed here, so the
-  hot loop never calls :meth:`Hypercube.port_towards` (profiling shows
-  the indexed engine spends a large share of its time re-deriving and
-  re-validating ports, ~6–7 examinations per transfer);
+  hot loop never calls :meth:`Hypercube.port_towards` (an object-path
+  engine re-derives and re-validates ports at every examination,
+  ~6–7 per transfer);
 * a *slot* table: every distinct ``(node, chunk)`` pair that can ever
   hold payload gets a dense id, with ``slot_node``/``slot_chunk``
   decoding columns and an ``init_avail`` column (0.0 for initial
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -121,6 +122,15 @@ def csr_rows(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return idx[gather]
 
 
+def _check_integral_sizes(chunk_sizes: dict[Chunk, int]) -> None:
+    for c, size in chunk_sizes.items():
+        if not isinstance(size, Integral) or isinstance(size, bool):
+            raise ValueError(
+                f"chunk {c!r} has non-integral size {size!r}; "
+                f"chunk sizes count whole elements"
+            )
+
+
 def lower_schedule(
     cube: Topology,
     schedule: Schedule,
@@ -136,10 +146,15 @@ def lower_schedule(
     merged schedule with its jobs' admission instants here gives the
     table :func:`repro.sim.multi.merge_programs` builds from the jobs'
     own tables (the merge's differential tests use it as the oracle).
+
+    Raises ``ValueError`` naming the chunk if a chunk size is not an
+    integer: the element columns are ``int64`` and would truncate it.
     """
     transfers = schedule.all_transfers()
     n_transfers = len(transfers)
     chunk_sizes = schedule.chunk_sizes
+    if set(map(type, chunk_sizes.values())) - {int}:
+        _check_integral_sizes(chunk_sizes)
 
     # -- chunk interning ---------------------------------------------------
     chunk_ids: dict[Chunk, int] = {}

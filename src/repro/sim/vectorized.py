@@ -1,10 +1,11 @@
 """Vectorized array-core asynchronous engine.
 
-Runs the same discrete-event semantics as :func:`repro.sim.engine.
-run_async` (and the reference oracle) over the flat arrays produced by
-:mod:`repro.sim.lowering`, instead of per-transfer Python objects.
-Results are bit-identical — the equivalence suite asserts it on every
-tree, port model, machine and fault plan.
+The production event engine.  Runs the discrete-event semantics of
+the reference oracle (:mod:`repro.sim._engine_reference`) over the
+flat arrays produced by :mod:`repro.sim.lowering`, instead of
+per-transfer Python objects.  Results are bit-identical — the
+equivalence suite asserts it on every tree, port model, machine and
+fault plan.
 
 How bit-identity survives vectorization
 ---------------------------------------
@@ -25,9 +26,8 @@ must push the same wake values, no more and no fewer.  They are:
   whose other-port terms use the *end-start* release form
   ``start + (1-ov)*(end-start)``, one ulp away from the duration form
   in general.  The reference re-pushes these for every blocked
-  transfer at every instant; like the indexed engine, this engine
-  materializes them with a dirty-channel sweep before each time
-  advance — every transfer blocked on a channel occupied during the
+  transfer at every instant; this engine materializes them with a
+  dirty-channel sweep before each time advance — every transfer blocked on a channel occupied during the
   closed instant gets its constraint re-evaluated against final
   instant state and pushed as a pure wake.
 
@@ -50,8 +50,8 @@ resources change, so at prefilter time ``vc > limit`` is precisely the
 reference's own admission refusal (under the all-port model ``vc`` can
 lag *below* the true link constraint, which costs a re-exam, never a
 wrong skip).  Channel state itself stays in per-node Python lists
-pruned exactly like ``_Channel.occupy`` — the float arithmetic is
-identical expression for expression.
+pruned exactly like the reference engine's channels — the float
+arithmetic is identical expression for expression.
 """
 
 from __future__ import annotations
@@ -99,9 +99,10 @@ def run_async_vectorized(
 ) -> AsyncResult | DegradedResult:
     """Event-driven execution of ``schedule`` under ``port_model``.
 
-    Drop-in equivalent of :func:`repro.sim.engine.run_async` (same
-    signature, same results bit for bit, same fault and deadlock
-    semantics).  ``lowered`` optionally reuses a pre-built
+    Bit-identical to the reference oracle
+    :func:`repro.sim._engine_reference.run_async_reference` (same
+    results, same fault and deadlock semantics).  ``lowered``
+    optionally reuses a pre-built
     :class:`~repro.sim.lowering.LoweredSchedule`; it must have been
     lowered from this exact ``schedule`` and ``initial_holdings``
     (lowering is machine- and port-model-independent, so one lowering

@@ -24,9 +24,9 @@ from repro.routing import (
     sbt_reduce_schedule,
     sbt_scatter_schedule,
 )
-from repro.sim.engine import run_async
 from repro.sim.machine import IPSC_D7
 from repro.sim.ports import PortModel
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology.hypercube import Hypercube
 
 
@@ -81,8 +81,12 @@ def test_cached_schedule_runs_identically_on_the_engine():
         cold = msbt_broadcast_schedule(cube, 6, 40, 8, pm)
     msbt_broadcast_schedule(cube, 6, 40, 8, pm)
     warm = msbt_broadcast_schedule(cube, 6, 40, 8, pm)
-    res_cold = run_async(cube, cold, pm, {6: set(cold.chunk_sizes)}, IPSC_D7)
-    res_warm = run_async(cube, warm, pm, {6: set(warm.chunk_sizes)}, IPSC_D7)
+    res_cold = run_async_vectorized(
+        cube, cold, pm, {6: set(cold.chunk_sizes)}, IPSC_D7
+    )
+    res_warm = run_async_vectorized(
+        cube, warm, pm, {6: set(warm.chunk_sizes)}, IPSC_D7
+    )
     assert res_cold.time == res_warm.time
     assert res_cold.holdings == res_warm.holdings
     assert res_cold.link_stats == res_warm.link_stats

@@ -21,6 +21,19 @@ class TestErrorPaths:
         with pytest.raises(ValueError):
             scatter(cube4, 0, "bst", 4, 0)
 
+    def test_port_model_must_be_a_member(self, cube4):
+        from repro.collectives import collective_schedule
+
+        for call in (
+            lambda: broadcast(cube4, 0, "sbt", 4, 1, "one-port"),
+            lambda: scatter(cube4, 0, "bst", 4, 1, port_model="all"),
+            lambda: collective_schedule(cube4, "reduce", port_model=None),
+        ):
+            with pytest.raises(TypeError, match="port_model") as exc:
+                call()
+            assert "PortModel.ONE_PORT_HALF" in str(exc.value)
+            assert "PortModel.ALL_PORT" in str(exc.value)
+
     def test_bad_subtree_order_rejected(self, cube4):
         with pytest.raises(ValueError, match="subtree order"):
             scatter(cube4, 0, "bst", 4, 4, subtree_order="sideways")

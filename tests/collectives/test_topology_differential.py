@@ -7,9 +7,9 @@ collective generates on any topology must
   structurally with :func:`assert_schedule_valid`);
 * deliver completely on the synchronous lock-step engine
   (:func:`check_delivery` returns nothing missing);
-* execute bit-identically on the event-driven engines — both the
-  indexed and the vectorized implementation must agree with each other
-  and with the synchronous engine on final holdings, and their link
+* execute bit-identically on the event-driven engines — the
+  vectorized production engine and the reference oracle must agree
+  with each other and with the synchronous engine on final holdings, and their link
   statistics (per-edge packets *and* elements — the total busy time
   each link serializes) must equal the synchronous engine's.
 """
@@ -25,10 +25,11 @@ from repro.collectives import (
     collective_schedule,
     reduce,
 )
-from repro.sim.dispatch import get_engine
+from repro.sim._engine_reference import run_async_reference
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.sim.validate import assert_schedule_valid
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology import Hypercube, Torus
 
 TOPOLOGIES = [
@@ -39,7 +40,8 @@ TOPOLOGIES = [
     pytest.param(Torus(3, 2), id="torus-3x2"),
 ]
 OPS = ["broadcast", "scatter", "gather", "reduce", "all_broadcast"]
-ENGINES = ["indexed", "vectorized"]
+#: the production event engine and its oracle
+ENGINES = [run_async_vectorized, run_async_reference]
 
 
 @pytest.mark.parametrize("pm", list(PortModel))
@@ -60,8 +62,7 @@ def test_point_matches_synchronous_engine(topo, op, pm):
 
     # 3. the event engines agree with the lock-step engine
     results = []
-    for engine in ENGINES:
-        run = get_engine(engine)
+    for run in ENGINES:
         res = run(topo, sched, pm, initial)
         assert res.holdings == sync.holdings
         # busy-time conservation: identical per-edge packets/elements

@@ -36,10 +36,10 @@ def _enabled_registry():
 class TestEngineFlush:
     def test_flush_populates_labeled_counters(self):
         before = ENGINE_TRANSFERS.labels(
-            engine="async", port_model="all-ports"
+            engine="vectorized", port_model="all-ports"
         ).value
         engine_run_finished(
-            "async",
+            "vectorized",
             PortModel.ALL_PORT,
             transfers=7,
             elems=99,
@@ -49,44 +49,44 @@ class TestEngineFlush:
         )
         assert (
             ENGINE_TRANSFERS.labels(
-                engine="async", port_model="all-ports"
+                engine="vectorized", port_model="all-ports"
             ).value
             == before + 7
         )
 
     def test_port_model_label_uses_enum_value(self):
-        before = ENGINE_EVENTS.labels(engine="async").value
+        before = ENGINE_EVENTS.labels(engine="vectorized").value
         engine_run_finished(
-            "async",
+            "vectorized",
             PortModel.ONE_PORT_FULL,
             transfers=1,
             elems=1,
             seconds=0.0,
             events=5,
         )
-        assert ENGINE_EVENTS.labels(engine="async").value == before + 5
+        assert ENGINE_EVENTS.labels(engine="vectorized").value == before + 5
         series = ENGINE_TRANSFERS.labels(
-            engine="async", port_model=PortModel.ONE_PORT_FULL.value
+            engine="vectorized", port_model=PortModel.ONE_PORT_FULL.value
         )
         assert series.labels["port_model"] == "1-send-and-receive"
 
     def test_deadlock_marker(self):
-        before = ENGINE_DEADLOCKS.labels(engine="async").value
+        before = ENGINE_DEADLOCKS.labels(engine="vectorized").value
         engine_run_finished(
-            "async",
+            "vectorized",
             PortModel.ALL_PORT,
             transfers=0,
             elems=0,
             seconds=0.0,
             deadlocked=True,
         )
-        assert ENGINE_DEADLOCKS.labels(engine="async").value == before + 1
+        assert ENGINE_DEADLOCKS.labels(engine="vectorized").value == before + 1
 
     def test_noop_while_disabled(self):
         with REGISTRY.disabled():
             before = ENGINE_TRANSFERS.value
             engine_run_finished(
-                "async", PortModel.ALL_PORT, transfers=5, elems=5, seconds=0.0
+                "vectorized", PortModel.ALL_PORT, transfers=5, elems=5, seconds=0.0
             )
             assert ENGINE_TRANSFERS.value == before
 

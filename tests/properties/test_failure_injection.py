@@ -106,7 +106,7 @@ class TestAsyncEngineAgreement:
     def test_async_deadlocks_where_sync_raises(self, seed):
         # dropping an early transfer starves the pipeline: the async
         # engine must deadlock (never hang or silently finish)
-        from repro.sim.engine import run_async
+        from repro.sim.vectorized import run_async_vectorized
 
         cube = Hypercube(3)
         sched = msbt_broadcast_schedule(cube, 0, 3, 1, PortModel.ONE_PORT_FULL)
@@ -121,7 +121,7 @@ class TestAsyncEngineAgreement:
         )
         init = {0: set(sched.chunk_sizes)}
         try:
-            res = run_async(cube, broken, PortModel.ONE_PORT_FULL, init)
+            res = run_async_vectorized(cube, broken, PortModel.ONE_PORT_FULL, init)
         except RuntimeError:
             return  # deadlock detected: good
         # or the only consumers of the dropped edge were leaves: then

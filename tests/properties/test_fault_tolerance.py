@@ -29,7 +29,7 @@ from repro.sim import (
     FaultError,
     FaultPlan,
     PortModel,
-    run_async,
+    run_async_vectorized,
     run_synchronous,
 )
 from repro.topology import Hypercube
@@ -110,7 +110,9 @@ class TestBelowThreshold:
             cube, sched, port_model, {source: set(want)}, faults=plan
         )
         assert not isinstance(sres, DegradedResult)
-        ares = run_async(cube, sched, port_model, {source: set(want)}, faults=plan)
+        ares = run_async_vectorized(
+            cube, sched, port_model, {source: set(want)}, faults=plan
+        )
         assert not isinstance(ares, DegradedResult)
         for v in cube.nodes():
             assert sres.holdings[v] >= want, f"sync missed node {v}"
@@ -263,7 +265,7 @@ class TestNeverSilent:
             cube, source, cube.dimension, 1, port_model
         )
         want = set(sched.chunk_sizes)
-        res = run_async(
+        res = run_async_vectorized(
             cube, sched, port_model, {source: set(want)},
             faults=plan, on_fault="report",
         )
@@ -287,7 +289,7 @@ class TestNeverSilent:
         )
         want = set(sched.chunk_sizes)
         try:
-            res = run_async(
+            res = run_async_vectorized(
                 cube, sched, port_model, {source: set(want)}, faults=plan
             )
         except FaultError as err:

@@ -17,7 +17,7 @@ from repro.routing import (
 )
 from repro.routing.common import MSG
 from repro.sim import PortModel, run_synchronous
-from repro.sim.engine import run_async
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology import Hypercube
 
 dims = st.integers(min_value=2, max_value=5)
@@ -65,7 +65,7 @@ class TestBroadcastProperties:
         n, source, M, B, pm = case
         cube = Hypercube(n)
         sched = msbt_broadcast_schedule(cube, source, M, B, pm)
-        res = run_async(cube, sched, pm, {source: set(sched.chunk_sizes)})
+        res = run_async_vectorized(cube, sched, pm, {source: set(sched.chunk_sizes)})
         want = set(sched.chunk_sizes)
         for v in cube.nodes():
             assert res.holdings[v] >= want

@@ -1,7 +1,9 @@
 """Unit tests for the chunking helpers shared by the generators."""
 
+import numpy as np
 import pytest
 
+from repro.collectives import broadcast
 from repro.routing.common import broadcast_chunks, scatter_chunks, validate_message_args
 
 
@@ -53,3 +55,15 @@ class TestValidate:
             validate_message_args(-1, 1)
         with pytest.raises(ValueError, match="packet"):
             validate_message_args(1, -1)
+
+    def test_sizes_must_be_integers(self, cube4):
+        validate_message_args(np.int64(8), np.int32(2))  # NumPy ints pass
+        with pytest.raises(TypeError, match="message_elems"):
+            validate_message_args(4.5, 1)
+        with pytest.raises(TypeError, match="packet_elems"):
+            validate_message_args(4, 2.0)
+        with pytest.raises(TypeError, match="message_elems"):
+            validate_message_args(True, 1)
+        # at the collective boundary: no 0.5-element chunk is ever built
+        with pytest.raises(TypeError, match="message_elems"):
+            broadcast(cube4, 0, "msbt", 4.5, 1, run_event_sim=True)

@@ -1,7 +1,7 @@
 """The dependency-indexed list scheduler is bit-identical to the
 original full-rescan reference (and likewise for first-fit partition).
 
-Mirrors the ``run_async`` / ``_engine_reference`` convention: the
+Mirrors the ``run_async_vectorized`` / ``_engine_reference`` convention: the
 optimized implementation in :mod:`repro.routing.scheduler` must produce
 the *same rounds in the same order* as
 :mod:`repro.routing._scheduler_reference` on every input, including the

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import MachineParams, PortModel, Schedule, Transfer
-from repro.sim.engine import run_async
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology import Hypercube
 
 
@@ -21,7 +21,9 @@ class TestBasics:
             rounds=[(_one(0, 1, "a"),), (_one(1, 3, "a"),)],
             chunk_sizes={"a": 4},
         )
-        res = run_async(cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a"}}, _m())
+        res = run_async_vectorized(
+            cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a"}}, _m()
+        )
         # two sequential hops of cost tau + 4 tc = 5 each
         assert res.time == pytest.approx(10.0)
         assert "a" in res.holdings[3]
@@ -31,7 +33,7 @@ class TestBasics:
             rounds=[(_one(0, 1, "a"), _one(2, 3, "b"))],
             chunk_sizes={"a": 4, "b": 4},
         )
-        res = run_async(
+        res = run_async_vectorized(
             cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a"}, 2: {"b"}}, _m()
         )
         assert res.time == pytest.approx(5.0)
@@ -41,7 +43,9 @@ class TestBasics:
             rounds=[(_one(0, 1, "a"),), (_one(0, 2, "b"),)],
             chunk_sizes={"a": 4, "b": 4},
         )
-        res = run_async(cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a", "b"}}, _m())
+        res = run_async_vectorized(
+            cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a", "b"}}, _m()
+        )
         assert res.time == pytest.approx(10.0)
 
     def test_all_port_sends_concurrently(self, cube4):
@@ -49,7 +53,9 @@ class TestBasics:
             rounds=[(_one(0, 1, "a"),), (_one(0, 2, "b"),)],
             chunk_sizes={"a": 4, "b": 4},
         )
-        res = run_async(cube4, sched, PortModel.ALL_PORT, {0: {"a", "b"}}, _m())
+        res = run_async_vectorized(
+            cube4, sched, PortModel.ALL_PORT, {0: {"a", "b"}}, _m()
+        )
         assert res.time == pytest.approx(5.0)
 
     def test_deadlock_detected(self, cube4):
@@ -58,7 +64,7 @@ class TestBasics:
             chunk_sizes={"ghost": 1},
         )
         with pytest.raises(RuntimeError, match="deadlock"):
-            run_async(cube4, sched, PortModel.ALL_PORT, {0: set()}, _m())
+            run_async_vectorized(cube4, sched, PortModel.ALL_PORT, {0: set()}, _m())
 
 
 class TestPortModels:
@@ -69,8 +75,8 @@ class TestPortModels:
             chunk_sizes={"a": 4, "b": 4},
         )
         init = {0: {"a"}, 1: {"b"}}
-        half = run_async(cube4, sched, PortModel.ONE_PORT_HALF, init, _m())
-        full = run_async(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
+        half = run_async_vectorized(cube4, sched, PortModel.ONE_PORT_HALF, init, _m())
+        full = run_async_vectorized(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
         assert half.time == pytest.approx(10.0)
         assert full.time == pytest.approx(5.0)  # concurrent send + receive
 
@@ -79,7 +85,9 @@ class TestPortModels:
             rounds=[(_one(0, 1, "a"),), (_one(0, 1, "b"),)],
             chunk_sizes={"a": 4, "b": 4},
         )
-        res = run_async(cube4, sched, PortModel.ALL_PORT, {0: {"a", "b"}}, _m())
+        res = run_async_vectorized(
+            cube4, sched, PortModel.ALL_PORT, {0: {"a", "b"}}, _m()
+        )
         assert res.time == pytest.approx(10.0)
 
 
@@ -89,10 +97,10 @@ class TestOverlap:
             rounds=[(_one(0, 1, "a"),), (_one(0, 2, "b"),)],
             chunk_sizes={"a": 9, "b": 9},
         )
-        t0 = run_async(
+        t0 = run_async_vectorized(
             cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a", "b"}}, _m(overlap=0.0)
         ).time
-        t2 = run_async(
+        t2 = run_async_vectorized(
             cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a", "b"}}, _m(overlap=0.2)
         ).time
         assert t0 == pytest.approx(20.0)
@@ -103,7 +111,7 @@ class TestOverlap:
             rounds=[(_one(0, 1, "a"),), (_one(0, 1, "b"),)],
             chunk_sizes={"a": 9, "b": 9},
         )
-        t = run_async(
+        t = run_async_vectorized(
             cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a", "b"}}, _m(overlap=0.5)
         ).time
         assert t == pytest.approx(20.0)
@@ -116,7 +124,7 @@ class TestHardwarePacketization:
             chunk_sizes={"a": 2048},
         )
         m = MachineParams(tau=1.0, t_c=0.0, internal_packet_elems=1024)
-        res = run_async(cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a"}}, m)
+        res = run_async_vectorized(cube4, sched, PortModel.ONE_PORT_FULL, {0: {"a"}}, m)
         assert res.time == pytest.approx(2.0)
 
 
@@ -130,6 +138,6 @@ class TestAgainstSynchronous:
         sched = msbt_broadcast_schedule(cube4, 0, 32, 4, PortModel.ONE_PORT_FULL)
         init = {0: set(sched.chunk_sizes)}
         sync = run_synchronous(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
-        asy = run_async(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
+        asy = run_async_vectorized(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
         assert asy.time <= sync.time + 1e-9
         assert asy.transfers_executed == sched.num_transfers

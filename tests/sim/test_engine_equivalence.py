@@ -1,15 +1,16 @@
-"""The indexed event engine is bit-identical to the reference engine.
+"""The production event engine is bit-identical to the reference engine.
 
-``repro.sim.engine.run_async`` replaced the original quadratic
-rescan-everything engine with a dependency-indexed design; the original
-is preserved verbatim as ``repro.sim._engine_reference.run_async_reference``
-and serves as the oracle here.  Equivalence is *exact*: simulated
-completion time, holdings, link statistics and start times must match
-to the last ulp (the indexed engine reproduces the reference's
-eps-coalesced wake ordering, not merely its semantics).
+``repro.sim.vectorized.run_async_vectorized`` replaced the original
+quadratic rescan-everything engine with an array-core design; the
+original is preserved verbatim as
+``repro.sim._engine_reference.run_async_reference`` and serves as the
+oracle here.  Equivalence is *exact*: simulated completion time,
+holdings, link statistics and start times must match to the last ulp
+(the production engine reproduces the reference's eps-coalesced wake
+ordering, not merely its semantics).
 
 Also pins the :class:`AsyncResult.start_times` ordering contract and
-the deadlock diagnosis of the indexed path.
+the deadlock diagnosis of the production engine.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from repro.routing import (
     tree_broadcast_schedule,
 )
 from repro.sim._engine_reference import run_async_reference
-from repro.sim.engine import run_async
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
 from repro.sim.synchronous import run_synchronous
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology.hypercube import Hypercube
 from repro.trees.hamiltonian import HamiltonianPathTree
 from repro.trees.tcbt import TwoRootedCompleteBinaryTree
@@ -86,8 +87,9 @@ def _schedules(source: int, port_model: PortModel):
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
 @pytest.mark.parametrize("source", [0, 5])
 def test_indexed_engine_matches_reference(source, port_model, machine):
+    """The production engine matches the oracle on every family."""
     for name, sched, init in _schedules(source, port_model):
-        new = run_async(
+        new = run_async_vectorized(
             CUBE, sched, port_model, {k: set(v) for k, v in init.items()}, machine
         )
         ref = run_async_reference(
@@ -97,8 +99,8 @@ def test_indexed_engine_matches_reference(source, port_model, machine):
         assert new.holdings == ref.holdings, name
         assert new.link_stats == ref.link_stats, name
         assert new.transfers_executed == ref.transfers_executed, name
-        # the reference appends in execution order; the new engine's
-        # contract is sorted ascending, so compare against the sort
+        # the reference appends in execution order; the production
+        # engine's contract is sorted ascending, so compare against the sort
         assert new.start_times == sorted(ref.start_times), name
 
 
@@ -127,14 +129,15 @@ def _run_or_fault(engine, sched, port_model, init, machine, plan, mode):
 @pytest.mark.parametrize("mode", ["raise", "report"])
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
 def test_fault_matrix_async_engines_agree(port_model, mode):
-    """Under every fault plan, the indexed engine and the reference
+    """Under every fault plan, the production engine and the reference
     oracle agree on the full outcome: same FaultError (edge and time)
     in raise mode, bit-identical results — degraded or not — in report
     mode, including the undelivered map and the cancelled-event set."""
     for name, sched, init in _schedules(0, port_model):
         for plan in FAULT_PLANS:
             new = _run_or_fault(
-                run_async, sched, port_model, init, UNIT_COST, plan, mode
+                run_async_vectorized, sched, port_model, init, UNIT_COST,
+                plan, mode,
             )
             ref = _run_or_fault(
                 run_async_reference, sched, port_model, init, UNIT_COST, plan, mode
@@ -186,7 +189,7 @@ def test_fault_matrix_sync_delivers_same_set(port_model):
 def test_start_times_sorted_ascending():
     """Pin the documented AsyncResult.start_times contract."""
     sched = msbt_broadcast_schedule(CUBE, 3, 64, 4, PortModel.ONE_PORT_FULL)
-    res = run_async(
+    res = run_async_vectorized(
         CUBE, sched, PortModel.ONE_PORT_FULL, {3: set(sched.chunk_sizes)}, IPSC_D7
     )
     assert res.start_times == sorted(res.start_times)
@@ -206,7 +209,9 @@ def test_causally_broken_schedule_deadlocks_with_diagnosis():
         meta={},
     )
     with pytest.raises(RuntimeError, match="deadlock"):
-        run_async(CUBE, sched, PortModel.ONE_PORT_FULL, {1: {("b", 0)}}, UNIT_COST)
+        run_async_vectorized(
+            CUBE, sched, PortModel.ONE_PORT_FULL, {1: {("b", 0)}}, UNIT_COST
+        )
 
 
 def test_circular_dependency_deadlocks():
@@ -225,7 +230,7 @@ def test_circular_dependency_deadlocks():
     # node 0 holds chunk 1 (not 0), node 1 holds chunk 0 (not 1):
     # each send's payload is forever on the wrong side
     with pytest.raises(RuntimeError, match="deadlock"):
-        run_async(
+        run_async_vectorized(
             CUBE,
             sched,
             PortModel.ONE_PORT_FULL,

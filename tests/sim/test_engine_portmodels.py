@@ -4,7 +4,7 @@ receive-side blocking, and cross-model orderings."""
 import pytest
 
 from repro.sim import MachineParams, PortModel, Schedule, Transfer
-from repro.sim.engine import run_async
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology import Hypercube
 
 
@@ -24,8 +24,8 @@ class TestReceiveContention:
             chunk_sizes={"a": 10, "b": 10},
         )
         init = {1: {"a"}, 2: {"b"}}
-        one = run_async(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
-        allp = run_async(cube4, sched, PortModel.ALL_PORT, init, _m())
+        one = run_async_vectorized(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
+        allp = run_async_vectorized(cube4, sched, PortModel.ALL_PORT, init, _m())
         assert one.time == pytest.approx(20.0)
         assert allp.time == pytest.approx(10.0)
 
@@ -37,8 +37,8 @@ class TestReceiveContention:
             chunk_sizes={"a": 10, "b": 10},
         )
         init = {1: {"a"}, 0: {"b"}}
-        half = run_async(cube4, sched, PortModel.ONE_PORT_HALF, init, _m())
-        full = run_async(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
+        half = run_async_vectorized(cube4, sched, PortModel.ONE_PORT_HALF, init, _m())
+        full = run_async_vectorized(cube4, sched, PortModel.ONE_PORT_FULL, init, _m())
         assert half.time == pytest.approx(20.0)
         assert full.time == pytest.approx(10.0)
 
@@ -52,7 +52,9 @@ class TestOverlapChains:
             chunk_sizes={"a": 10, "b": 10, "c": 10},
         )
         init = {0: {"a", "b", "c"}}
-        res = run_async(cube4, sched, PortModel.ONE_PORT_FULL, init, _m(overlap=0.2))
+        res = run_async_vectorized(
+            cube4, sched, PortModel.ONE_PORT_FULL, init, _m(overlap=0.2)
+        )
         # starts at 0, 8, 16 -> finish 26 (not 30)
         assert res.time == pytest.approx(26.0)
 
@@ -62,7 +64,9 @@ class TestOverlapChains:
             chunk_sizes={"a": 10, "b": 10, "c": 10},
         )
         init = {0: {"a", "b", "c"}}
-        res = run_async(cube4, sched, PortModel.ONE_PORT_FULL, init, _m(overlap=0.2))
+        res = run_async_vectorized(
+            cube4, sched, PortModel.ONE_PORT_FULL, init, _m(overlap=0.2)
+        )
         # third send reuses port 0: must wait for the first to END (10),
         # and for 80% of the second (8 + 8 = 16) -> starts at 16
         assert res.time == pytest.approx(26.0)
@@ -78,7 +82,7 @@ class TestCrossModelOrdering:
         for pm in PortModel:
             sched = gen_fn(cube5, 0, 48, 4, pm)
             init = {0: set(sched.chunk_sizes)}
-            times[pm] = run_async(cube5, sched, pm, init, _m(tau=1.0)).time
+            times[pm] = run_async_vectorized(cube5, sched, pm, init, _m(tau=1.0)).time
         assert times[PortModel.ALL_PORT] <= times[PortModel.ONE_PORT_FULL] + 1e-9
         assert times[PortModel.ONE_PORT_FULL] <= times[PortModel.ONE_PORT_HALF] + 1e-9
 
@@ -87,7 +91,7 @@ class TestCrossModelOrdering:
             rounds=[(_t(0, 1, "a"),), (_t(1, 3, "a"),)],
             chunk_sizes={"a": 5},
         )
-        res = run_async(cube4, sched, PortModel.ALL_PORT, {0: {"a"}}, _m())
+        res = run_async_vectorized(cube4, sched, PortModel.ALL_PORT, {0: {"a"}}, _m())
         assert res.start_times == [0.0, 5.0]
         assert res.transfers_executed == 2
 
@@ -98,7 +102,7 @@ class TestZeroSizeTransfers:
             rounds=[(_t(0, 1, ("done", 0, 0)),)],
             chunk_sizes={("done", 0, 0): 0},
         )
-        res = run_async(
+        res = run_async_vectorized(
             cube4, sched, PortModel.ONE_PORT_FULL,
             {0: {("done", 0, 0)}}, MachineParams(tau=2.0, t_c=1.0),
         )

@@ -1,16 +1,15 @@
-"""The vectorized array-core engine is bit-identical to the indexed one.
+"""The vectorized array-core engine is bit-identical to the reference.
 
 ``repro.sim.vectorized.run_async_vectorized`` lowers the schedule to
 flat NumPy tables (:mod:`repro.sim.lowering`) and batches admission
 through the :mod:`repro.sim._kernels` prefilter, but its results must
-match the indexed engine — and hence the reference oracle — to the
-last ulp: completion time, holdings, link statistics, start times,
-fault errors and degraded results alike.
-
-Also covers the engine dispatch layer (:mod:`repro.sim.dispatch`), the
-``engine=`` plumbing through the collectives API and the sweep
-executor, the prefilter kernel's NumPy fallback, and the
-``repro_engine_table_bytes_peak`` gauge.
+match the reference oracle to the last ulp: completion time, holdings,
+link statistics, start times, fault errors and degraded results alike.
+``tests/sim/test_engine_equivalence.py`` runs the plain calls; this
+file covers the engine's own options (a shared ``lowered=`` table, the
+transfer log), randomized collectives, the prefilter kernel's NumPy
+fallback, the ``repro_engine_table_bytes_peak`` gauge, and that no
+engine-selection knob survives.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.collectives.api import broadcast
 from repro.experiments.parallel import run_sweep
 from repro.obs import REGISTRY
@@ -35,10 +35,8 @@ from repro.routing import (
     sbt_scatter_schedule,
     tree_broadcast_schedule,
 )
-from repro.sim import ENGINES, get_engine, resolve_engine
 from repro.sim._engine_reference import run_async_reference
 from repro.sim._kernels import HAVE_NUMBA, _prefilter_numpy, prefilter
-from repro.sim.engine import run_async
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
@@ -48,6 +46,7 @@ from repro.sim.vectorized import run_async_vectorized
 from repro.topology.hypercube import Hypercube
 from repro.trees.hamiltonian import HamiltonianPathTree
 from repro.trees.tcbt import TwoRootedCompleteBinaryTree
+from repro.workloads import PhaseSpec, Workload, WorkloadDAG, run_workload
 
 MACHINES = [
     IPSC_D7,
@@ -99,23 +98,27 @@ def _schedules(source: int, port_model: PortModel):
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
 @pytest.mark.parametrize("source", [0, 5])
 def test_vectorized_matches_indexed_and_reference(source, port_model, machine):
+    """A shared lowering replayed with the transfer log on matches the
+    reference bit for bit, and the log accounts for every transfer."""
     for name, sched, init in _schedules(source, port_model):
+        low = lower_schedule(CUBE, sched, init)
         vec = run_async_vectorized(
-            CUBE, sched, port_model, {k: set(v) for k, v in init.items()}, machine
-        )
-        idx = run_async(
-            CUBE, sched, port_model, {k: set(v) for k, v in init.items()}, machine
+            CUBE, None, port_model, None, machine, lowered=low,
+            transfer_log=True,
         )
         ref = run_async_reference(
             CUBE, sched, port_model, {k: set(v) for k, v in init.items()}, machine
         )
-        assert vec.time == idx.time == ref.time, name
-        assert vec.holdings == idx.holdings == ref.holdings, name
-        assert vec.link_stats == idx.link_stats == ref.link_stats, name
-        assert vec.transfers_executed == idx.transfers_executed, name
-        # the reference appends in execution order; both production
-        # engines sort ascending
-        assert vec.start_times == idx.start_times == sorted(ref.start_times), name
+        assert vec.time == ref.time, name
+        assert vec.holdings == ref.holdings, name
+        assert vec.link_stats == ref.link_stats, name
+        assert vec.transfers_executed == sched.num_transfers, name
+        # the reference appends in execution order; the production
+        # engine sorts ascending
+        assert vec.start_times == sorted(ref.start_times), name
+        log = vec.transfer_log
+        assert sorted(log.ids) == list(range(sched.num_transfers)), name
+        assert sorted(log.starts) == vec.start_times, name
 
 
 #: fault plans for the differential matrix — immediate links/nodes,
@@ -143,35 +146,39 @@ def _run_or_fault(engine, sched, port_model, init, machine, plan, mode):
 @pytest.mark.parametrize("mode", ["raise", "report"])
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
 def test_fault_matrix_vectorized_agrees(port_model, mode):
-    """Under every fault plan, the vectorized engine and the indexed
-    engine produce the same outcome: same FaultError (edge, node, time)
-    in raise mode; bit-identical results — degraded or not — in report
-    mode, including the undelivered map and the cancelled-event set."""
+    """Under every fault plan on the overlap-heavy machine (where the
+    time-activated faults land mid-run amid cross-port overlap), the
+    vectorized engine and the reference oracle produce the same
+    outcome: same FaultError (edge, node, time) in raise mode;
+    bit-identical results — degraded or not — in report mode, including
+    the undelivered map and the cancelled-event set."""
+    machine = MACHINES[2]
     for name, sched, init in _schedules(0, port_model):
         for plan in FAULT_PLANS:
             vec = _run_or_fault(
-                run_async_vectorized, sched, port_model, init, UNIT_COST,
+                run_async_vectorized, sched, port_model, init, machine,
                 plan, mode,
             )
-            idx = _run_or_fault(
-                run_async, sched, port_model, init, UNIT_COST, plan, mode
+            ref = _run_or_fault(
+                run_async_reference, sched, port_model, init, machine,
+                plan, mode,
             )
             label = f"{name}/{plan!r}/{mode}"
-            assert type(vec) is type(idx), label
+            assert type(vec) is type(ref), label
             if isinstance(vec, FaultError):
-                assert vec.edge == idx.edge, label
-                assert vec.node == idx.node, label
-                assert vec.time == idx.time, label
-                assert vec.chunks == idx.chunks, label
+                assert vec.edge == ref.edge, label
+                assert vec.node == ref.node, label
+                assert vec.time == ref.time, label
+                assert vec.chunks == ref.chunks, label
                 continue
-            assert vec.time == idx.time, label
-            assert vec.holdings == idx.holdings, label
-            assert vec.link_stats == idx.link_stats, label
-            assert sorted(vec.start_times) == sorted(idx.start_times), label
+            assert vec.time == ref.time, label
+            assert vec.holdings == ref.holdings, label
+            assert vec.link_stats == ref.link_stats, label
+            assert vec.start_times == sorted(ref.start_times), label
             if isinstance(vec, DegradedResult):
-                assert vec.undelivered == idx.undelivered, label
-                assert vec.transfers_lost == idx.transfers_lost, label
-                assert set(vec.fault_events) == set(idx.fault_events), label
+                assert vec.undelivered == ref.undelivered, label
+                assert vec.transfers_lost == ref.transfers_lost, label
+                assert set(vec.fault_events) == set(ref.fault_events), label
 
 
 def test_vectorized_deadlock_diagnosis():
@@ -226,6 +233,24 @@ def test_vectorized_accepts_prelowered_schedule():
     assert low.table_bytes > 0
 
 
+def test_lower_schedule_rejects_fractional_chunk_size():
+    """The element columns are integers: a hand-built schedule with a
+    fractional chunk is refused, not silently truncated."""
+    sched = Schedule(
+        rounds=[(Transfer(0, 1, frozenset({("b", 0), ("b", 1)})),)],
+        chunk_sizes={("b", 0): 4, ("b", 1): 0.5},
+    )
+    with pytest.raises(ValueError, match=r"chunk \('b', 1\)"):
+        lower_schedule(CUBE, sched, {0: {("b", 0), ("b", 1)}})
+    with pytest.raises(ValueError, match="non-integral"):
+        run_async_vectorized(
+            CUBE, sched, PortModel.ONE_PORT_FULL, {0: {("b", 0), ("b", 1)}}
+        )
+    # NumPy integer sizes are integral and lower unchanged
+    sched.chunk_sizes[("b", 1)] = np.int64(1)
+    assert lower_schedule(CUBE, sched, {0: {("b", 0), ("b", 1)}}).elems[0] == 5
+
+
 # -- property-based equivalence ---------------------------------------
 
 
@@ -240,20 +265,33 @@ def bcast_params(draw):
     return n, M, B, pm, source
 
 
-@settings(max_examples=40, deadline=None)
-@given(bcast_params(), st.sampled_from(["sbt", "msbt"]))
-def test_property_vectorized_bit_identical(params, algo):
+#: the paper's collectives: Figure 6 compares the broadcasts, Figure 8
+#: the scatters (the one-port BST under the iPSC's overlap)
+GENERATORS = {
+    "sbt-broadcast": sbt_broadcast_schedule,
+    "msbt-broadcast": msbt_broadcast_schedule,
+    "sbt-scatter": sbt_scatter_schedule,
+    "bst-scatter": bst_scatter_schedule,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bcast_params(),
+    st.sampled_from(sorted(GENERATORS)),
+    st.sampled_from([IPSC_D7, None]),
+)
+def test_property_vectorized_bit_identical(params, algo, machine):
     n, M, B, pm, source = params
     cube = Hypercube(n)
-    gen = sbt_broadcast_schedule if algo == "sbt" else msbt_broadcast_schedule
-    sched = gen(cube, source, M, B, pm)
-    init = {source: set(sched.chunk_sizes)}
-    vec = run_async_vectorized(cube, sched, pm, {source: set(init[source])}, IPSC_D7)
-    idx = run_async(cube, sched, pm, {source: set(init[source])}, IPSC_D7)
-    assert vec.time == idx.time
-    assert vec.holdings == idx.holdings
-    assert vec.start_times == idx.start_times
-    assert vec.link_stats == idx.link_stats
+    sched = GENERATORS[algo](cube, source, M, B, pm)
+    init = set(sched.chunk_sizes)
+    vec = run_async_vectorized(cube, sched, pm, {source: set(init)}, machine)
+    ref = run_async_reference(cube, sched, pm, {source: set(init)}, machine)
+    assert vec.time == ref.time
+    assert vec.holdings == ref.holdings
+    assert vec.start_times == sorted(ref.start_times)
+    assert vec.link_stats == ref.link_stats
 
 
 # -- admission-prefilter kernel ---------------------------------------
@@ -292,45 +330,26 @@ def test_numba_gate_honours_environment():
         assert prefilter is _prefilter_numpy
 
 
-# -- dispatch and plumbing --------------------------------------------
+# -- no engine selection -----------------------------------------------
 
 
-def test_resolve_engine_default_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert resolve_engine() == "indexed"
-    assert resolve_engine("vectorized") == "vectorized"
-    monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-    assert resolve_engine() == "vectorized"
-    assert resolve_engine("reference") == "reference"
-    with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine("bogus")
-    monkeypatch.setenv("REPRO_ENGINE", "bogus")
-    with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine()
-
-
-def test_get_engine_returns_runners(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert get_engine() is run_async
-    assert get_engine("indexed") is run_async
-    assert get_engine("vectorized") is run_async_vectorized
-    assert get_engine("reference") is run_async_reference
-    assert set(ENGINES) == {"indexed", "vectorized", "reference"}
-
-
-def test_collectives_engine_parameter():
-    cube = Hypercube(4)
-    a = broadcast(cube, 0, "msbt", 64, 8, machine=IPSC_D7, run_event_sim=True)
-    b = broadcast(
-        cube, 0, "msbt", 64, 8, machine=IPSC_D7, run_event_sim=True,
-        engine="vectorized",
-    )
-    assert a.time == b.time
-    assert a.async_.start_times == b.async_.start_times
-    with pytest.raises(ValueError, match="unknown engine"):
-        broadcast(
-            cube, 0, "msbt", 64, 8, run_event_sim=True, engine="bogus"
-        )
+def test_engine_selection_knobs_rejected(capsys):
+    """The vectorized engine is the only one: the removed ``engine``
+    knob is an unknown CLI option (argparse exit 2) and an unknown
+    keyword everywhere it used to be accepted."""
+    knob = "engine"
+    with pytest.raises(SystemExit) as exc:
+        main(["broadcast", "--dim", "3", f"--{knob}", "vectorized"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{knob}" in capsys.readouterr().err
+    dag = WorkloadDAG((PhaseSpec("a", compute=1.0),))
+    for call in (
+        lambda **kw: broadcast(Hypercube(3), 0, "msbt", 8, 2, **kw),
+        lambda **kw: run_sweep(_sweep_point, [{"n": 3}], **kw),
+        lambda **kw: run_workload(Workload("w", 2, lambda s: dag), **kw),
+    ):
+        with pytest.raises(TypeError, match=knob):
+            call(**{knob: "vectorized"})
 
 
 def _sweep_point(n: int) -> float:
@@ -338,17 +357,6 @@ def _sweep_point(n: int) -> float:
         Hypercube(n), 0, "sbt", 32, 8, machine=IPSC_D7, run_event_sim=True
     )
     return res.time
-
-
-def test_run_sweep_exports_engine(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    serial = run_sweep(_sweep_point, [{"n": 3}, {"n": 4}])
-    vec = run_sweep(_sweep_point, [{"n": 3}, {"n": 4}], engine="vectorized")
-    assert serial.values == vec.values
-    # the export is scoped to the sweep
-    assert "REPRO_ENGINE" not in os.environ
-    with pytest.raises(ValueError, match="unknown engine"):
-        run_sweep(_sweep_point, [{"n": 3}], engine="bogus")
 
 
 def test_table_bytes_gauge_tracks_peak():

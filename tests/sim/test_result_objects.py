@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim import PortModel, Schedule, Transfer
-from repro.sim.engine import run_async
 from repro.sim.synchronous import run_synchronous
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology import Hypercube
 
 
@@ -43,14 +43,16 @@ class TestAsyncResult:
             rounds=[(_t(0, 1, "a"),), (_t(1, 3, "a"),)],
             chunk_sizes={"a": 3},
         )
-        res = run_async(cube4, sched, PortModel.ALL_PORT, {0: {"a"}})
+        res = run_async_vectorized(cube4, sched, PortModel.ALL_PORT, {0: {"a"}})
         assert "a" in res.holdings[0]
         assert "a" in res.holdings[1]
         assert "a" in res.holdings[3]
         assert "a" not in res.holdings[2]
 
     def test_empty_schedule(self, cube4):
-        res = run_async(cube4, Schedule(rounds=[], chunk_sizes={}), PortModel.ALL_PORT, {})
+        res = run_async_vectorized(
+            cube4, Schedule(rounds=[], chunk_sizes={}), PortModel.ALL_PORT, {}
+        )
         assert res.time == 0.0
         assert res.transfers_executed == 0
 
@@ -60,6 +62,6 @@ class TestAsyncResult:
         sched = msbt_broadcast_schedule(cube4, 0, 16, 4, PortModel.ONE_PORT_FULL)
         init = {0: set(sched.chunk_sizes)}
         s = run_synchronous(cube4, sched, PortModel.ONE_PORT_FULL, init)
-        a = run_async(cube4, sched, PortModel.ONE_PORT_FULL, init)
+        a = run_async_vectorized(cube4, sched, PortModel.ONE_PORT_FULL, init)
         assert s.link_stats.elems == a.link_stats.elems
         assert s.link_stats.packets == a.link_stats.packets

@@ -218,13 +218,26 @@ class TestBackendsAndValidation:
             run_workload(w, backend="quantum")
 
     def test_non_vectorized_engine_rejected(self):
+        # no engine knob is left to select another engine with
         w = _workload([PhaseSpec("a", compute=1.0)])
-        with pytest.raises(ValueError, match="vectorized"):
-            run_workload(w, engine="indexed")
+        with pytest.raises(TypeError, match="engine"):
+            run_workload(w, engine="reference")
 
-    def test_vectorized_engine_accepted(self):
-        w = _workload([PhaseSpec("a", compute=1.0)])
-        assert run_workload(w, engine="vectorized").makespan == 1.0
+    def test_vectorized_engine_accepted(self, monkeypatch):
+        """A step's collective phases run on the vectorized engine."""
+        calls = []
+        real = repro.service.exec.run_async_vectorized
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.service.exec, "run_async_vectorized", spy)
+        w = _workload([
+            PhaseSpec("a", op="broadcast", source=0, message_elems=4),
+        ])
+        assert run_workload(w).makespan > 0
+        assert len(calls) == 1
 
     def test_runtime_backend_serial_chain(self):
         w = _workload([

@@ -97,9 +97,13 @@ class TestCLI:
         assert "pick one of" in capsys.readouterr().err
 
     def test_bad_engine_exits_2(self, capsys):
-        code = main([
-            "workload", "run", "--scenario", "pipeline-4stage",
-            "--engine", "indexed",
-        ])
-        assert code == 2
-        assert "vectorized" in capsys.readouterr().err
+        # the engine option is gone: argparse rejects it as unknown
+        knob = "engine"
+        flag = f"--{knob}"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "workload", "run", "--scenario", "pipeline-4stage",
+                flag, "vectorized",
+            ])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
