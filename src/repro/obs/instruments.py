@@ -34,6 +34,7 @@ __all__ = [
     "COLLECTIVE_RUNS",
     "ENGINE_ADMISSION_BLOCKS",
     "ENGINE_DEADLOCKS",
+    "ENGINE_DELIVERIES",
     "ENGINE_ELEMS",
     "ENGINE_EVENTS",
     "ENGINE_FAULTED_TRANSFERS",
@@ -92,6 +93,12 @@ ENGINE_ADMISSION_BLOCKS = REGISTRY.counter(
     "repro_engine_admission_blocks_total",
     "Transfer starts deferred by port-model admission or link serialization.",
     ("engine", "port_model"),
+)
+ENGINE_DELIVERIES = REGISTRY.counter(
+    "repro_engine_deliveries_total",
+    "Payload-group deliveries walked by the event engine "
+    "(out-row entries of executed transfers).",
+    ("engine",),
 )
 ENGINE_DEADLOCKS = REGISTRY.counter(
     "repro_engine_deadlocks_total",
@@ -278,6 +285,7 @@ def engine_run_finished(
     seconds: float,
     events: int = 0,
     admission_blocks: int = 0,
+    deliveries: int = 0,
     faulted: int = 0,
     deadlocked: bool = False,
     table_bytes: int = 0,
@@ -299,6 +307,8 @@ def engine_run_finished(
         ENGINE_ADMISSION_BLOCKS.labels(engine=engine, port_model=pm).inc(
             admission_blocks
         )
+    if deliveries:
+        ENGINE_DELIVERIES.labels(engine=engine).inc(deliveries)
     if faulted:
         ENGINE_FAULTED_TRANSFERS.labels(engine=engine).inc(faulted)
     if deadlocked:

@@ -28,13 +28,14 @@ import numpy as np
 
 from repro.sim.engine import AsyncResult
 from repro.sim.faults import DegradedResult, FaultPlan
-from repro.sim.lowering import LoweredSchedule, csr_rows, lower_schedule
+from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.multi import MergedProgram, untag_holdings
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule
 from repro.sim.trace import LinkStats
 from repro.sim.vectorized import run_async_vectorized
+from repro.topology.base import Topology
 from repro.topology.hypercube import DirectedEdge, Hypercube
 
 __all__ = ["JobSlice", "ExecutionView", "execute_program", "lower_jobs"]
@@ -81,12 +82,14 @@ class ExecutionView:
         slices: per-job accounting, indexed like ``program.entries``.
         ends: end time of each executed transfer, aligned with
             ``raw.transfer_log``.
+        cube: the topology the program ran on.
     """
 
     program: MergedProgram
     raw: "AsyncResult | DegradedResult"
     slices: list[JobSlice]
     ends: np.ndarray
+    cube: Topology
 
     @property
     def makespan(self) -> float:
@@ -97,23 +100,17 @@ class ExecutionView:
     def held(self) -> np.ndarray:
         """Merged slot -> holds payload at the end of the run.
 
-        A slot ends up held iff it starts held or an executed transfer
-        writes it — the same condition the engine's final holdings are
-        read from.
+        Read from the engine's final payload-group availability, the
+        array its own holdings decode from.
         """
-        low = self.program.lowered
-        held = low.init_avail != np.inf
-        log = self.raw.transfer_log
-        assert log is not None
-        if log.ids:
-            ids = np.asarray(log.ids, dtype=np.int64)
-            held[csr_rows(low.out_ptr, low.out_idx, ids)] = True
-        return held
+        final_avail = self.raw.final_avail
+        assert final_avail is not None
+        return final_avail[self.program.lowered.slot_group] != np.inf
 
     def job_holdings(self, position: int) -> dict[int, set[Chunk]]:
         """Final holdings of the job at ``position``, untagged."""
         return untag_holdings(
-            self.program, position, self.held, self.raw.holdings.keys()
+            self.program, position, self.held, self.cube.nodes()
         )
 
     def link_busy_total(self) -> dict[DirectedEdge, float]:
@@ -240,4 +237,6 @@ def execute_program(
             link_stats=stats,
             link_busy=busy,
         ))
-    return ExecutionView(program=program, raw=raw, slices=slices, ends=ends)
+    return ExecutionView(
+        program=program, raw=raw, slices=slices, ends=ends, cube=cube
+    )

@@ -1,13 +1,15 @@
 """Reference (seed) implementation of the asynchronous engine.
 
-This is the original O(T^2) scan-loop engine kept verbatim as a
-*timing oracle*: the production engine in :mod:`repro.sim.vectorized`
-is an array-core rewrite that must produce bit-identical results
-(``time``, ``holdings``, ``link_stats`` and the multiset of transfer
-start times).  The equivalence suite in
-``tests/sim/test_engine_equivalence.py`` runs both on every algorithm
-and port model; keep this module untouched unless the *semantics* of
-the engine deliberately change.
+This is the original O(T^2) scan-loop engine kept as a *timing
+oracle*: the production engine in :mod:`repro.sim.vectorized` is an
+array-core rewrite that must produce bit-identical results (``time``,
+``holdings``, ``link_stats`` and the multiset of transfer start times).
+The equivalence suite in ``tests/sim/test_engine_equivalence.py`` runs
+both on every algorithm and port model; keep this module untouched
+unless the *semantics* of the engine deliberately change.  Its one
+addition since is ``release_times`` — per-chunk release instants, the
+production engine's multi-job admission semantics — so release-time
+programs can be checked against the oracle too.
 """
 
 
@@ -89,6 +91,7 @@ def run_async_reference(
     machine: MachineParams | None = None,
     faults: FaultPlan | None = None,
     on_fault: str = "raise",
+    release_times: dict[Chunk, float] | None = None,
 ) -> AsyncResult | DegradedResult:
     """Event-driven execution of ``schedule`` under ``port_model``.
 
@@ -101,6 +104,11 @@ def run_async_reference(
     outcomes): a transfer starting on an active fault raises
     :class:`FaultError` or — in ``report`` mode — is cancelled, with
     the starvation cascade terminating in a :class:`DegradedResult`.
+
+    ``release_times`` delays initially-held chunks exactly as
+    :func:`repro.sim.lowering.lower_schedule` does for the vectorized
+    engine: a chunk mapped to ``t`` is present at its holders from
+    instant ``t`` on.
     """
     machine = machine or MachineParams()
     _check_mode(on_fault)
@@ -114,7 +122,9 @@ def run_async_reference(
     avail: dict[tuple[int, Chunk], float] = {}
     for node, chunks in initial_holdings.items():
         for c in chunks:
-            avail[(node, c)] = 0.0
+            avail[(node, c)] = (
+                release_times.get(c, 0.0) if release_times else 0.0
+            )
 
     # Channels: one per node under ONE_PORT_HALF; separate send/recv
     # channels under ONE_PORT_FULL; per-directed-link only under ALL_PORT.

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.sim._lazy import OnAccess
 from repro.sim.faults import TransferLog
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
@@ -31,7 +34,10 @@ class AsyncResult:
 
     Attributes:
         time: completion time of the last transfer.
-        holdings: chunk ids held by every node at the end.
+        holdings: chunk ids held by every node at the end.  The
+            vectorized engine decodes this map from ``final_avail`` on
+            first access, so a caller that never reads it never pays
+            for it.
         link_stats: per-edge traffic counters.
         start_times: start time of each executed transfer, sorted
             ascending by start time (ties keep execution order), so
@@ -40,12 +46,19 @@ class AsyncResult:
         transfers_executed: number of transfers run.
         transfer_log: execution provenance when requested
             (``transfer_log=True`` on the vectorized engine).
+        final_avail: vectorized engine only — payload group id of the
+            lowered table -> final availability time (``inf`` = never
+            held); a slot ``s`` ends up held iff
+            ``final_avail[slot_group[s]] != inf``.
     """
 
     time: float
-    holdings: dict[int, set[Chunk]]
+    holdings: dict[int, set[Chunk]] = OnAccess()  # type: ignore[assignment]
     link_stats: LinkStats
     start_times: list[float] = field(default_factory=list)
     transfers_executed: int = 0
     transfer_log: TransferLog | None = None
+    final_avail: np.ndarray | None = field(
+        default=None, repr=False, compare=False
+    )
 

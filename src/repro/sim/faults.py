@@ -37,6 +37,9 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.sim._lazy import Deferred, OnAccess
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
 
@@ -335,19 +338,29 @@ class DegradedResult:
         step_costs: per-round costs (lock-step engine).
         transfer_log: execution provenance when requested
             (``transfer_log=True`` on the vectorized engine).
+        final_avail: vectorized engine only, as on
+            :class:`~repro.sim.engine.AsyncResult`.
+
+    The vectorized engine decodes ``holdings`` and ``undelivered`` on
+    first access.
     """
 
     time: float
-    holdings: dict[int, set[Chunk]]
+    holdings: dict[int, set[Chunk]] = OnAccess()  # type: ignore[assignment]
     link_stats: LinkStats
     fault_events: list[FaultEvent] = field(default_factory=list)
-    undelivered: dict[int, frozenset[Chunk]] = field(default_factory=dict)
+    undelivered: dict[int, frozenset[Chunk]] = OnAccess(  # type: ignore[assignment]
+        Deferred(dict)
+    )
     transfers_executed: int = 0
     transfers_lost: int = 0
     start_times: list[float] | None = None
     cycles: int | None = None
     step_costs: list[float] | None = None
     transfer_log: TransferLog | None = None
+    final_avail: np.ndarray | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def complete(self) -> bool:

@@ -11,7 +11,8 @@ run and every re-merge only concatenates and reorders arrays.
 
 * chunk ids are namespaced per job — the merged table's chunk objects
   are ``(tag, chunk)``, so two broadcasts both shipping ``("b", 0)``
-  never alias, and each job owns its own contiguous slot range;
+  never alias, and each job owns its own contiguous slot range and
+  payload-group range (groups never span jobs);
 * the merged program order interleaves the jobs **round by round in the
   given entry order** — program order is contention priority in the
   event engines, so the entry order *is* the scheduling policy's
@@ -19,14 +20,16 @@ run and every re-merge only concatenates and reorders arrays.
 * every transfer records its owning entry (``owners``) — the per-job
   provenance the service uses to split one engine run back into
   per-job completion times, link traffic and delivery reports;
-* each job's initially-held slots carry a *release time* (its
+* each job's initially-held groups carry a *release time* (its
   admission instant): the vectorized engine will not start any
   transfer of the job before it, which is how jobs arriving mid-stream
   enter an already-running cube.
 
-The merged table is exactly what lowering the equivalent chunk-tagged
-merged :class:`~repro.sim.schedule.Schedule` would give, up to slot and
-chunk numbering, which the engine never observes.  Tagged ``Transfer``
+The merged table runs bit-identically to lowering the equivalent
+chunk-tagged merged :class:`~repro.sim.schedule.Schedule`; it differs
+only in slot, chunk and group numbering (that lowering may also pool
+equal-keyed slots of different jobs into one group), which the engine
+never observes.  Tagged ``Transfer``
 objects are only built when the engine asks for one (fault events,
 deadlock reports, degraded results).
 
@@ -46,7 +49,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.sim.lowering import LoweredSchedule, csr_rows
+from repro.sim.lowering import LoweredSchedule, csr_rows, decode_holdings
 from repro.sim.schedule import Chunk, Schedule, Transfer
 
 __all__ = ["JobEntry", "MergedProgram", "merge_programs", "untag_holdings"]
@@ -169,6 +172,7 @@ def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
 
     t_ptr = offsets([t.n_transfers for t in tabs])
     slot_ptr = offsets([t.n_slots for t in tabs])
+    group_ptr = offsets([t.n_groups for t in tabs])
     chunk_ptr = offsets([len(t.chunk_objects) for t in tabs])
     n_jobs = len(entries)
 
@@ -190,19 +194,26 @@ def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
     src = cat("src")[order]
     dst = cat("dst")[order]
 
-    # Transfer -> slot CSR: shift each job's slots into its range, then
-    # permute the rows into program order.  in/out rows are parallel.
-    cat_ptr = offsets(np.concatenate([np.diff(t.in_ptr) for t in tabs]))
-    shift = np.repeat(slot_ptr[:-1], [t.in_idx.size for t in tabs])
-    in_idx = csr_rows(cat_ptr, cat("in_idx") + shift, order)
-    out_idx = csr_rows(cat_ptr, cat("out_idx") + shift, order)
-    in_ptr = offsets(cat_ptr[order + 1] - cat_ptr[order])
+    def group_rows(ptr_name: str, idx_name: str) -> tuple[np.ndarray, np.ndarray]:
+        # Transfer -> group CSR: shift each job's groups into its range,
+        # then permute the rows into program order.
+        cat_ptr = offsets(
+            np.concatenate([np.diff(getattr(t, ptr_name)) for t in tabs])
+        )
+        shift = np.repeat(
+            group_ptr[:-1], [getattr(t, idx_name).size for t in tabs]
+        )
+        idx = csr_rows(cat_ptr, cat(idx_name) + shift, order)
+        return offsets(cat_ptr[order + 1] - cat_ptr[order]), idx
+
+    in_ptr, in_idx = group_rows("in_ptr", "in_idx")
+    out_ptr, out_idx = group_rows("out_ptr", "out_idx")
 
     init_avail = np.concatenate([
         np.where(t.init_avail == np.inf, np.inf, e.release)
         for t, e in zip(tabs, entries)
     ])
-    # Slot -> waiter CSR: slot ranges are per job and the merge keeps
+    # Group -> waiter CSR: group ranges are per job and the merge keeps
     # each job's transfers in their own relative order, so renumbering
     # the waiters keeps every list ascending in program order.
     merged_id = np.empty_like(order)
@@ -219,6 +230,7 @@ def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
     lowered = LoweredSchedule(
         n_transfers=int(t_ptr[-1]),
         n_slots=int(slot_ptr[-1]),
+        n_groups=int(group_ptr[-1]),
         n_links=int(uniq_edges.size),
         transfers=_TaggedTransfers(entries, owners, local),
         chunk_objects=list(chain.from_iterable(
@@ -231,13 +243,16 @@ def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
         elems=cat("elems")[order],
         in_ptr=in_ptr,
         in_idx=in_idx,
-        out_ptr=in_ptr.copy(),
+        out_ptr=out_ptr,
         out_idx=out_idx,
         wait_ptr=wait_ptr,
         wait_idx=wait_idx,
         slot_node=cat("slot_node"),
         slot_chunk=cat("slot_chunk") + np.repeat(
             chunk_ptr[:-1], [t.n_slots for t in tabs]
+        ),
+        slot_group=cat("slot_group") + np.repeat(
+            group_ptr[:-1], [t.n_slots for t in tabs]
         ),
         init_avail=init_avail,
         init_missing=cat("init_missing")[order],
@@ -258,7 +273,7 @@ def untag_holdings(
     held: np.ndarray,
     nodes: Iterable[int],
 ) -> dict[int, set[Chunk]]:
-    """One job's final holdings, split from the merged slot arrays.
+    """One job's final holdings, split from the merged slot flags.
 
     ``held`` flags the merged slots holding payload at the end of the
     run.  Returns ``{node: {chunk held}}`` over ``nodes``, chunks
@@ -268,17 +283,4 @@ def untag_holdings(
     """
     low = program.entries[position].lowered
     lo = int(program.slot_ptr[position])
-    mine = np.flatnonzero(held[lo:lo + low.n_slots])
-    out: dict[int, set[Chunk]] = {v: set() for v in nodes}
-    if not mine.size:
-        return out
-    slot_node = low.slot_node[mine]
-    chunk_ids = low.slot_chunk[mine].tolist()
-    objects = low.chunk_objects
-    # slot_node is non-decreasing, so each node's slots form one run
-    cuts = (np.flatnonzero(np.diff(slot_node)) + 1).tolist()
-    starts = [0] + cuts
-    ends = cuts + [len(chunk_ids)]
-    for v, a, b in zip(slot_node[starts].tolist(), starts, ends):
-        out[v] = {objects[c] for c in chunk_ids[a:b]}
-    return out
+    return decode_holdings(low, held[lo:lo + low.n_slots], nodes)

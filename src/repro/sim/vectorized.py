@@ -20,8 +20,10 @@ within ``_EPS`` above it and start it one ulp early, so this engine
 must push the same wake values, no more and no fewer.  They are:
 
 * the completion time ``end`` and the overlap release in *duration*
-  form ``start + (1-ov)*dur``, pushed at occupation (ready-time wakes
-  are always ``end`` values, so they add nothing new);
+  form ``start + (1-ov)*dur``, pushed at occupation;
+* payload-ready times, pushed when a transfer's last input arrives
+  (usually an ``end`` value already in the heap, but a per-chunk
+  release instant of another input can exceed every delivery);
 * blocked transfers' constraint values — maxima over channel windows
   whose other-port terms use the *end-start* release form
   ``start + (1-ov)*(end-start)``, one ulp away from the duration form
@@ -63,6 +65,7 @@ import numpy as np
 
 from repro.obs.instruments import engine_run_finished
 from repro.sim._kernels import prefilter
+from repro.sim._lazy import Deferred
 from repro.sim.engine import _EPS, AsyncResult
 from repro.sim.faults import (
     DegradedResult,
@@ -73,7 +76,7 @@ from repro.sim.faults import (
     _check_mode,
     undelivered_map,
 )
-from repro.sim.lowering import LoweredSchedule, lower_schedule
+from repro.sim.lowering import LoweredSchedule, decode_holdings, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
@@ -148,11 +151,7 @@ def run_async_vectorized(
     link_py = low.link.tolist()
     in_ptr = low.in_ptr.tolist()
     in_idx = low.in_idx.tolist()
-    out_ptr = (
-        in_ptr  # in/out CSR pointers are parallel by construction
-        if np.array_equal(low.out_ptr, low.in_ptr)
-        else low.out_ptr.tolist()
-    )
+    out_ptr = low.out_ptr.tolist()
     out_idx = low.out_idx.tolist()
     wait_ptr = low.wait_ptr.tolist()
     wait_idx = low.wait_idx.tolist()
@@ -276,23 +275,21 @@ def run_async_vectorized(
     doneskip_n = 0
     blocks_n = 0
 
-    def _flush(deadlocked: bool = False) -> None:
-        elems_total = (
-            int(low.elems[np.asarray(executed_ids, dtype=np.int64)].sum())
-            if executed_ids
-            else 0
-        )
+    def _flush(deadlocked: bool = False, starved: int = 0) -> None:
+        ids = np.asarray(executed_ids, dtype=np.int64)
+        out_walked = low.out_ptr[ids + 1] - low.out_ptr[ids]
         engine_run_finished(
             "vectorized", port_model,
             transfers=len(start_times),
-            elems=elems_total,
+            elems=int(low.elems[ids].sum()),
             seconds=perf_counter() - t0,
             events=(
                 blocks_n + doneskip_n
                 + len(start_times) + len(fault_events)
             ),
             admission_blocks=blocks_n,
-            faulted=len(lost),
+            deliveries=int(out_walked.sum()),
+            faulted=len(lost) + starved,
             deadlocked=deadlocked,
             table_bytes=low.table_bytes,
         )
@@ -513,6 +510,11 @@ def run_async_vectorized(
                                     calendar[r] = [w2]
                                 else:
                                     b.append(w2)
+                                # r is an end time, already pushed, or
+                                # a release instant of another input
+                                if r not in wake_set:
+                                    wake_set.add(r)
+                                    heappush(wake, r)
                             elif not inq[w2]:
                                 # Enabled at this same instant: the
                                 # reference's scan picks it up in this
@@ -657,7 +659,10 @@ def run_async_vectorized(
         if nxt is None:
             if report and fault_events:
                 break  # starvation cascade from cancelled transfers
-            stuck = [transfers[j] for j in range(nT) if not done_py[j]][:4]
+            stuck = [
+                transfers[j]
+                for j in np.flatnonzero(~np.asarray(done_py, dtype=bool))[:4].tolist()
+            ]
             _flush(deadlocked=True)
             raise RuntimeError(
                 f"schedule deadlocked with {remaining} transfers pending, "
@@ -686,12 +691,11 @@ def run_async_vectorized(
             wake_set.add(nxt)
 
     # -- result assembly ---------------------------------------------------
-    holdings: dict[int, set[Chunk]] = {node: set() for node in cube.nodes()}
-    chunk_objects = low.chunk_objects
-    slot_node = low.slot_node.tolist()
-    slot_chunk = low.slot_chunk.tolist()
-    for s in np.flatnonzero(np.asarray(avail_py) != np.inf).tolist():
-        holdings[slot_node[s]].add(chunk_objects[slot_chunk[s]])
+    final_avail = np.asarray(avail_py, dtype=np.float64)
+
+    def _holdings() -> dict[int, set[Chunk]]:
+        held = final_avail[low.slot_group] != np.inf
+        return decode_holdings(low, held, cube.nodes())
 
     stats = LinkStats()
     if executed_ids:
@@ -719,26 +723,31 @@ def run_async_vectorized(
     start_times.sort()  # stable: equal start times keep execution order
 
     if fault_events or remaining:
-        lost.extend(transfers[j] for j in range(nT) if not done_py[j])
-        _flush()
-        return DegradedResult(
+        starved = np.flatnonzero(~np.asarray(done_py, dtype=bool)).tolist()
+        _flush(starved=len(starved))
+        result = DegradedResult(
             time=finish,
-            holdings=holdings,
+            holdings=Deferred(_holdings),
             link_stats=stats,
             fault_events=fault_events,
-            undelivered=undelivered_map(lost, holdings),
             transfers_executed=len(start_times),
-            transfers_lost=len(lost),
+            transfers_lost=len(lost) + len(starved),
             start_times=start_times,
             transfer_log=log,
+            final_avail=final_avail,
         )
+        result.undelivered = Deferred(lambda: undelivered_map(
+            lost + [transfers[j] for j in starved], result.holdings
+        ))
+        return result
 
     _flush()
     return AsyncResult(
         time=finish,
-        holdings=holdings,
+        holdings=Deferred(_holdings),
         link_stats=stats,
         start_times=start_times,
         transfers_executed=nT,
         transfer_log=log,
+        final_avail=final_avail,
     )

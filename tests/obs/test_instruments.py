@@ -8,8 +8,10 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.obs import REGISTRY, MetricsRegistry
+from repro.collectives.api import collective_schedule
 from repro.obs.instruments import (
     ENGINE_DEADLOCKS,
+    ENGINE_DELIVERIES,
     ENGINE_EVENTS,
     ENGINE_TRANSFERS,
     RUNTIME_PACKETS,
@@ -22,6 +24,8 @@ from repro.obs.instruments import (
     sweep_finished,
 )
 from repro.sim.ports import PortModel
+from repro.sim.vectorized import run_async_vectorized
+from repro.topology import Hypercube
 
 
 @pytest.fixture(autouse=True)
@@ -81,6 +85,22 @@ class TestEngineFlush:
             deadlocked=True,
         )
         assert ENGINE_DEADLOCKS.labels(engine="vectorized").value == before + 1
+
+    def test_deliveries_pinned_on_alltoall(self):
+        """Dimension-exchange all-to-all on a 3-cube: 24 packets carry
+        96 ``(node, chunk)`` payloads, but the chunks of one packet
+        share a writer and so one payload group: the engine walks 24
+        deliveries, one per packet."""
+        cube = Hypercube(3)
+        sched, initial = collective_schedule(
+            cube, "alltoall", "dimension-exchange", 0, 1, None,
+            PortModel.ALL_PORT,
+        )
+        assert sum(len(t.chunks) for t in sched.all_transfers()) == 96
+        series = ENGINE_DELIVERIES.labels(engine="vectorized")
+        before = series.value
+        run_async_vectorized(cube, sched, PortModel.ALL_PORT, initial)
+        assert series.value == before + 24
 
     def test_noop_while_disabled(self):
         with REGISTRY.disabled():

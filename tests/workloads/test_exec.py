@@ -7,6 +7,8 @@ import math
 import pytest
 
 import repro.service.exec
+import repro.sim.vectorized
+import repro.workloads.exec
 from repro.sim.faults import FaultError, FaultPlan
 from repro.workloads import (
     WORKLOAD_SCENARIOS,
@@ -281,18 +283,50 @@ class TestBackendsAndValidation:
 class TestLowerOnce:
     def test_moe_step_lowers_each_distinct_schedule_once(self, monkeypatch):
         """dispatch and combine share a table; re-simulations re-lower
-        nothing: 327,424 + 1,022 + 512 payload slots in all."""
+        nothing: 327,424 + 1,022 + 512 payload slots in all, pooled
+        into 2,049 + 511 + 511 payload groups.  The all-to-all ships
+        up to 128 chunks per packet, and the chunks one packet delivers
+        share a writer set, so they share one group."""
         lower = repro.service.exec.lower_schedule
-        slots = []
+        tables = []
 
         def counting(*args, **kwargs):
             low = lower(*args, **kwargs)
-            slots.append(low.n_slots)
+            tables.append(low)
             return low
 
         monkeypatch.setattr(repro.service.exec, "lower_schedule", counting)
         w = WORKLOAD_SCENARIOS["moe-alltoall"].build(0)
         report = run_workload(w, 1)
-        assert len(slots) == 3
-        assert sum(slots) == 328_958
+        assert len(tables) == 3
+        assert sum(low.n_slots for low in tables) == 328_958
+        assert sum(low.n_groups for low in tables) == 3_071
         assert not any(p.degraded for p in report.steps[0].phases)
+
+    def test_step_never_decodes_engine_holdings(self, monkeypatch):
+        """Per-job holdings split from the final group availability; the
+        engine's own ``{node: {chunk}}`` map is never built."""
+        decode = repro.sim.vectorized.decode_holdings
+        decoded = []
+
+        def spy(*args, **kwargs):
+            decoded.append(1)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(repro.sim.vectorized, "decode_holdings", spy)
+        execute = repro.workloads.exec.execute_program
+        views = []
+
+        def keep(*args, **kwargs):
+            views.append(execute(*args, **kwargs))
+            return views[-1]
+
+        monkeypatch.setattr(repro.workloads.exec, "execute_program", keep)
+        w = WORKLOAD_SCENARIOS["moe-alltoall"].build(0)
+        report = run_workload(w, 1)
+        assert len(views) == 4
+        assert not any(p.degraded for p in report.steps[0].phases)
+        assert decoded == []
+        # the spy is live: the first read decodes, once
+        assert views[-1].raw.holdings == views[-1].raw.holdings
+        assert decoded == [1]
