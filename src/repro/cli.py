@@ -21,9 +21,8 @@ Usage (also available as ``python -m repro``)::
 
 ``table``, ``figure`` and ``sweep`` accept ``--jobs N`` (default:
 ``REPRO_JOBS`` or serial; 0 = all cores) to fan the experiment's point
-grid out over worker processes, and ``--cache-dir DIR`` (default:
-``REPRO_CACHE_DIR``) to persist generated trees/schedules on disk
-across runs.  Output is identical at any worker count.
+grid out over worker processes.  Output is identical at any worker
+count.
 """
 
 from __future__ import annotations
@@ -74,10 +73,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         "--jobs", "-j", type=int, default=None,
         help="worker processes for the point grid "
              "(default: REPRO_JOBS or 1; 0 = all cores)")
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist generated trees/schedules under DIR "
-             "(default: REPRO_CACHE_DIR)")
 
 
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:
@@ -124,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "sweep",
-        help="run experiment sweeps (parallel workers, optional disk cache)",
+        help="run experiment sweeps (optionally over parallel workers)",
     )
     s.add_argument(
         "targets", nargs="+",
@@ -373,7 +368,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     all_stats: dict[str, dict] = {}
     for target in _expand_sweep_targets(args.targets):
         runner = getattr(experiments, _SWEEP_TARGETS[target])
-        report = runner(jobs=args.jobs, cache_dir=args.cache_dir)
+        report = runner(jobs=args.jobs)
         print(report.render())
         if report.sweep is not None:
             print(f"[{target}] {report.sweep.summary()}")
@@ -602,7 +597,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro import experiments
 
         runner = getattr(experiments, f"run_table{args.number}")
-        print(runner(jobs=args.jobs, cache_dir=args.cache_dir).render())
+        print(runner(jobs=args.jobs).render())
         _write_metrics(args)
         return 0
 
@@ -610,7 +605,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro import experiments
 
         runner = getattr(experiments, f"run_fig{args.number}")
-        print(runner(jobs=args.jobs, cache_dir=args.cache_dir).render())
+        print(runner(jobs=args.jobs).render())
         _write_metrics(args)
         return 0
 

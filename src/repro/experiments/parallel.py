@@ -17,16 +17,12 @@ Design points:
   ~4 chunks per worker) so pickle/IPC overhead is amortized while load
   still balances across heterogeneous point costs.
 * **Telemetry.**  Every point is timed in its worker and annotated
-  with the worker id and the in-memory/on-disk cache-hit deltas it
-  produced; :class:`SweepStats` aggregates them across workers.
+  with the worker id and the in-memory cache-hit deltas it produced;
+  :class:`SweepStats` aggregates them across workers.
 * **Fallback.**  ``jobs=1`` (the default), a single-point grid, or a
   platform where worker processes cannot be started all run the exact
   same per-point code in-process — no separate serial code path that
   could drift.
-* **Disk cache.**  An explicit ``cache_dir`` (or ``REPRO_CACHE_DIR``
-  in the environment) turns on :mod:`repro.cache.disk` in the parent
-  and in every worker, so cold worker processes reuse previously
-  generated trees/schedules instead of regenerating them.
 
 Point functions must be module-level callables and their kwargs
 picklable (workers may be spawned, not forked).  The ``REPRO_JOBS``
@@ -39,13 +35,11 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 from math import ceil
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.cache.disk import configure_disk, disk_cache
 from repro.obs.instruments import CACHE_OPS, sweep_finished
 from repro.sim.trace import LinkStats
 
@@ -110,7 +104,6 @@ class PointStats:
         worker: pid of the process that ran it.
         lru_hits / lru_misses: in-memory cache-counter deltas the point
             produced in its worker.
-        disk_hits / disk_misses: on-disk layer deltas likewise.
     """
 
     index: int
@@ -118,8 +111,6 @@ class PointStats:
     worker: int
     lru_hits: int
     lru_misses: int
-    disk_hits: int
-    disk_misses: int
 
 
 @dataclass
@@ -163,16 +154,6 @@ class SweepStats:
         """In-memory cache misses across all workers."""
         return sum(p.lru_misses for p in self.points)
 
-    @property
-    def disk_hits(self) -> int:
-        """On-disk cache hits across all workers."""
-        return sum(p.disk_hits for p in self.points)
-
-    @property
-    def disk_misses(self) -> int:
-        """On-disk cache misses across all workers."""
-        return sum(p.disk_misses for p in self.points)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (the CI timing artifact)."""
         return {
@@ -185,8 +166,6 @@ class SweepStats:
             "workers": list(self.workers),
             "lru_hits": self.lru_hits,
             "lru_misses": self.lru_misses,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
             "points": [
                 {
                     "index": p.index,
@@ -194,8 +173,6 @@ class SweepStats:
                     "worker": p.worker,
                     "lru_hits": p.lru_hits,
                     "lru_misses": p.lru_misses,
-                    "disk_hits": p.disk_hits,
-                    "disk_misses": p.disk_misses,
                 }
                 for p in self.points
             ],
@@ -207,8 +184,7 @@ class SweepStats:
             f"{self.num_points} points in {self.wall_s:.2f}s "
             f"({self.executor}, jobs={self.jobs}, chunksize={self.chunksize}, "
             f"{len(self.workers)} worker(s); "
-            f"lru {self.lru_hits}h/{self.lru_misses}m, "
-            f"disk {self.disk_hits}h/{self.disk_misses}m)"
+            f"lru {self.lru_hits}h/{self.lru_misses}m)"
         )
 
 
@@ -244,8 +220,8 @@ class SweepResult:
         return merged_link_stats(self.values)
 
 
-def _cache_totals() -> tuple[int, int, int, int]:
-    """(lru hits, lru misses, disk hits, disk misses) registry sums.
+def _cache_totals() -> tuple[int, int]:
+    """(hits, misses) summed over every in-memory cache.
 
     Read from the observability registry's ``repro_cache_ops_total``
     series rather than the live cache objects: the series survive a
@@ -255,20 +231,14 @@ def _cache_totals() -> tuple[int, int, int, int]:
     about which object's counters they were diffing).  One code path
     serves process-pool workers and in-process sweeps alike.
     """
-    lru_h = lru_m = disk_h = disk_m = 0
+    hits = misses = 0
     for series in CACHE_OPS.series():
         op = series.labels["op"]
         if op == "hit":
-            if series.labels["cache"].startswith("cache.disk."):
-                disk_h += series.value
-            else:
-                lru_h += series.value
+            hits += series.value
         elif op == "miss":
-            if series.labels["cache"].startswith("cache.disk."):
-                disk_m += series.value
-            else:
-                lru_m += series.value
-    return lru_h, lru_m, disk_h, disk_m
+            misses += series.value
+    return hits, misses
 
 
 def _run_point(
@@ -285,15 +255,7 @@ def _run_point(
         worker=os.getpid(),
         lru_hits=after[0] - before[0],
         lru_misses=after[1] - before[1],
-        disk_hits=after[2] - before[2],
-        disk_misses=after[3] - before[3],
     )
-
-
-def _worker_init(cache_dir: str | None) -> None:
-    """Pool initializer: point the worker's disk cache at ``cache_dir``."""
-    if cache_dir is not None:
-        configure_disk(cache_dir)
 
 
 def _run_chunk(
@@ -308,7 +270,6 @@ def run_sweep(
     *,
     jobs: int | None = None,
     chunksize: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> SweepResult:
     """Execute ``fn(**point)`` for every point, possibly in parallel.
 
@@ -319,9 +280,6 @@ def run_sweep(
         jobs: worker processes; see :func:`resolve_jobs` for defaults.
         chunksize: points per submitted task (default: grid split into
             ~:data:`CHUNKS_PER_WORKER` chunks per worker).
-        cache_dir: enable the on-disk cache at this directory for the
-            duration of the sweep, in the parent and every worker
-            (default: whatever ``REPRO_CACHE_DIR`` says).
 
     Returns:
         A :class:`SweepResult` whose ``values[i]`` is ``fn(**points[i])``
@@ -329,49 +287,40 @@ def run_sweep(
     """
     indexed = [(i, dict(p)) for i, p in enumerate(points)]
     jobs = resolve_jobs(jobs)
-    dir_ctx = disk_cache(cache_dir) if cache_dir is not None else nullcontext()
     t0 = time.perf_counter()
-    with dir_ctx:
-        if jobs == 1 or len(indexed) <= 1:
-            return _run_serial(fn, indexed, jobs, "serial", t0)
-        chunksize = chunksize or max(
-            1, ceil(len(indexed) / (jobs * CHUNKS_PER_WORKER))
-        )
-        chunks = [
-            indexed[i : i + chunksize]
-            for i in range(0, len(indexed), chunksize)
-        ]
-        init_dir = str(cache_dir) if cache_dir is not None else None
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(chunks)),
-                initializer=_worker_init,
-                initargs=(init_dir,),
-            )
-        except (OSError, ValueError, NotImplementedError):
-            # no usable multiprocessing on this platform — degrade
-            # gracefully rather than failing the sweep
-            return _run_serial(fn, indexed, jobs, "serial-fallback", t0)
-        values: list[Any] = [None] * len(indexed)
-        point_stats: list[PointStats] = []
-        with pool:
-            futures = [
-                pool.submit(_run_chunk, fn, chunk) for chunk in chunks
-            ]
-            for future in futures:
-                for value, ps in future.result():
-                    values[ps.index] = value
-                    point_stats.append(ps)
-        point_stats.sort(key=lambda p: p.index)
-        stats = SweepStats(
-            jobs=jobs,
-            chunksize=chunksize,
-            executor="process-pool",
-            wall_s=time.perf_counter() - t0,
-            points=point_stats,
-        )
-        sweep_finished(stats)
-        return SweepResult(values=values, stats=stats)
+    if jobs == 1 or len(indexed) <= 1:
+        return _run_serial(fn, indexed, jobs, "serial", t0)
+    chunksize = chunksize or max(
+        1, ceil(len(indexed) / (jobs * CHUNKS_PER_WORKER))
+    )
+    chunks = [
+        indexed[i : i + chunksize]
+        for i in range(0, len(indexed), chunksize)
+    ]
+    try:
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
+    except (OSError, ValueError, NotImplementedError):
+        # no usable multiprocessing on this platform — degrade
+        # gracefully rather than failing the sweep
+        return _run_serial(fn, indexed, jobs, "serial-fallback", t0)
+    values: list[Any] = [None] * len(indexed)
+    point_stats: list[PointStats] = []
+    with pool:
+        futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
+        for future in futures:
+            for value, ps in future.result():
+                values[ps.index] = value
+                point_stats.append(ps)
+    point_stats.sort(key=lambda p: p.index)
+    stats = SweepStats(
+        jobs=jobs,
+        chunksize=chunksize,
+        executor="process-pool",
+        wall_s=time.perf_counter() - t0,
+        points=point_stats,
+    )
+    sweep_finished(stats)
+    return SweepResult(values=values, stats=stats)
 
 
 def _run_serial(

@@ -1,12 +1,13 @@
-"""Job lowering, merged-program execution and per-job accounting.
+"""Job schedules, merged-program execution and per-job accounting.
 
-Each distinct job schedule of a run is lowered once
-(:func:`lower_jobs`).  One service step = one engine run: the scheduler
-merges every admitted job's table into a single
-:class:`~repro.sim.multi.MergedProgram`, this module executes the
-merged table as is on the vectorized event engine (release times baked
-into ``init_avail``, transfer log enabled), and splits the run back
-into per-job views using the provenance chain
+Each distinct job schedule of a run is generated once
+(:func:`pregenerate_schedules`, shared by the service and the
+workloads) and lowered once (:func:`lower_jobs`).  One service step =
+one engine run: the scheduler merges every admitted job's table into a
+single :class:`~repro.sim.multi.MergedProgram`, this module executes
+the merged table as is on the vectorized event engine (release times
+baked into ``init_avail``, transfer log enabled), and splits the run
+back into per-job views using the provenance chain
 
     ``transfer_log.ids`` (executed, execution order)
     -> ``MergedProgram.owners`` (transfer -> job position)
@@ -20,12 +21,15 @@ standalone run of the same schedule would report.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
+import os
+from collections.abc import Hashable, Iterable, Mapping
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from repro.collectives import api
 from repro.sim.engine import AsyncResult
 from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.lowering import LoweredSchedule, lower_schedule
@@ -38,7 +42,17 @@ from repro.sim.vectorized import run_async_vectorized
 from repro.topology.base import Topology
 from repro.topology.hypercube import DirectedEdge, Hypercube
 
-__all__ = ["JobSlice", "ExecutionView", "execute_program", "lower_jobs"]
+__all__ = [
+    "JobSlice",
+    "ExecutionView",
+    "check_jobs",
+    "execute_program",
+    "lower_jobs",
+    "pregenerate_schedules",
+]
+
+#: a generated job schedule and the holdings it starts from
+Built = tuple[Schedule, dict[int, set[Chunk]]]
 
 
 @dataclass
@@ -122,9 +136,50 @@ class ExecutionView:
         return total
 
 
+def check_jobs(jobs: int | None) -> int:
+    """The worker count ``jobs`` asks for (``None`` = 1, 0 = all cores).
+
+    Raises:
+        ValueError: naming ``jobs`` when it is negative.
+    """
+    if jobs is None:
+        return 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0 = all cores), got {jobs}")
+    return jobs or os.cpu_count() or 1
+
+
+def _build_schedule(key: tuple) -> Built:
+    """Generate one keyed schedule (module-level so workers can unpickle it)."""
+    dimension, op, algorithm, source, m, b, port_value, subtree = key
+    return api.collective_schedule(
+        Hypercube(dimension), op, algorithm, source, m, b,
+        PortModel(port_value), subtree,
+    )
+
+
+def pregenerate_schedules(
+    keys: Iterable[tuple], jobs: int | None = None
+) -> dict[tuple, Built]:
+    """Build every distinct schedule named by ``keys``, once.
+
+    A key is ``(dimension, op, algorithm, source, message_elems,
+    packet_elems, port_model.value, subtree_order)``.  Keys are built in
+    first-seen order, inline or over a pool of :func:`check_jobs`
+    workers, and reassembled positionally, so the worker count never
+    changes a result.
+    """
+    workers = check_jobs(jobs)
+    unique = list(dict.fromkeys(keys))
+    if workers <= 1 or len(unique) <= 1:
+        return {k: _build_schedule(k) for k in unique}
+    with ProcessPoolExecutor(max_workers=min(workers, len(unique))) as pool:
+        return dict(zip(unique, pool.map(_build_schedule, unique)))
+
+
 def lower_jobs(
     cube: Hypercube,
-    schedules: Mapping[Hashable, tuple[Schedule, dict[int, set[Chunk]]]],
+    schedules: Mapping[Hashable, Built],
 ) -> dict[Hashable, LoweredSchedule]:
     """Lower each distinct job schedule once: key -> job table.
 

@@ -39,23 +39,28 @@ event.
 
 Determinism: the loop consumes only simulated-time quantities and
 frozen keys — no wall clock, no hashing order.  The ``jobs`` worker
-pool parallelizes *schedule generation* only (pure functions, results
-reassembled in submission order), so worker count and start method
-cannot change any result bit.
+pool parallelizes *schedule generation* only
+(:func:`~repro.service.exec.pregenerate_schedules`: pure functions,
+results reassembled in submission order), so the worker count cannot
+change any result bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from repro.collectives.api import ROOTED_OPS, check_delivery, collective_schedule
+from repro.collectives.api import ROOTED_OPS, check_delivery
 from repro.obs.instruments import service_run_finished
-from repro.service.exec import ExecutionView, execute_program, lower_jobs
+from repro.service.exec import (
+    ExecutionView,
+    check_jobs,
+    execute_program,
+    lower_jobs,
+    pregenerate_schedules,
+)
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.policies import SchedulingPolicy, resolve_policy
 from repro.sim.engine import AsyncResult
@@ -63,7 +68,6 @@ from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry, MergedProgram, merge_programs
 from repro.sim.ports import PortModel
-from repro.sim.schedule import Chunk, Schedule
 from repro.topology.hypercube import Hypercube
 
 __all__ = [
@@ -225,15 +229,6 @@ class ServiceResult:
         }
 
 
-def _build_schedule(args: tuple) -> tuple[Schedule, dict[int, set[Chunk]]]:
-    """Worker-side schedule generation (module-level for spawn pickling)."""
-    dimension, op, algorithm, source, m, b, port_value, subtree = args
-    return collective_schedule(
-        Hypercube(dimension), op, algorithm, source, m, b,
-        PortModel(port_value), subtree,
-    )
-
-
 @dataclass
 class _Admitted:
     """Scheduler-internal record of a job on the cube."""
@@ -263,10 +258,8 @@ class CollectiveService:
             dead resource degrade, everything else completes.
         on_fault: ``"raise"`` (default) or ``"report"``.
         jobs: worker processes for schedule pregeneration (``None``/1 =
-            inline, 0 = all cores).  Worker count never changes
-            results.
-        mp_context: multiprocessing start method for the worker pool
-            (``"spawn"``/``"fork"``/``None`` = platform default).
+            inline, 0 = all cores; negative raises ``ValueError``).
+            Worker count never changes results.
 
     Typical use::
 
@@ -286,7 +279,6 @@ class CollectiveService:
         faults: FaultPlan | None = None,
         on_fault: str = "raise",
         jobs: int | None = None,
-        mp_context: str | None = None,
     ):
         if not isinstance(cube, Hypercube):
             raise ValueError(
@@ -300,8 +292,8 @@ class CollectiveService:
         self.admission = admission or AdmissionControl()
         self.faults = faults
         self.on_fault = on_fault
+        check_jobs(jobs)
         self.jobs = jobs
-        self.mp_context = mp_context
         self._specs: list[JobSpec] = []
 
     def submit(self, spec: JobSpec) -> int:
@@ -315,7 +307,7 @@ class CollectiveService:
         """Register several jobs; returns their ids."""
         return [self.submit(s) for s in specs]
 
-    # -- schedule pregeneration ---------------------------------------
+    # -- the admission event loop --------------------------------------
 
     def _schedule_key(self, spec: JobSpec) -> tuple:
         return (
@@ -323,38 +315,6 @@ class CollectiveService:
             spec.message_elems, spec.packet_elems, self.port_model.value,
             spec.subtree_order,
         )
-
-    def _pregenerate(self) -> dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]]:
-        keys: list[tuple] = []
-        seen = set()
-        for spec in self._specs:
-            k = self._schedule_key(spec)
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
-        workers = self.jobs
-        if workers == 0:
-            workers = os.cpu_count() or 1
-        built: dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]] = {}
-        if workers is None or workers <= 1 or len(keys) <= 1:
-            for k in keys:
-                built[k] = _build_schedule(k)
-            return built
-        import multiprocessing
-
-        ctx = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context
-            else None
-        )
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(keys)), mp_context=ctx
-        ) as pool:
-            for k, out in zip(keys, pool.map(_build_schedule, keys)):
-                built[k] = out
-        return built
-
-    # -- the admission event loop --------------------------------------
 
     def run(self) -> ServiceResult:
         """Admit and execute every submitted job; returns the result."""
@@ -369,7 +329,9 @@ class CollectiveService:
             service_run_finished(result, seconds=perf_counter() - t0)
             return result
 
-        schedules = self._pregenerate()
+        schedules = pregenerate_schedules(
+            map(self._schedule_key, specs), self.jobs
+        )
         tables = lower_jobs(self.cube, schedules)
         ctl = self.admission
         policy = self.policy
@@ -560,12 +522,11 @@ def run_service(
     faults: FaultPlan | None = None,
     on_fault: str = "raise",
     jobs: int | None = None,
-    mp_context: str | None = None,
 ) -> ServiceResult:
     """One-shot convenience: submit ``specs`` and run the service."""
     service = CollectiveService(
         cube, port_model, machine, policy, admission,
-        faults=faults, on_fault=on_fault, jobs=jobs, mp_context=mp_context,
+        faults=faults, on_fault=on_fault, jobs=jobs,
     )
     service.submit_many(specs)
     return service.run()

@@ -73,7 +73,8 @@ class LoweredSchedule:
         transfers: transfer id -> original :class:`Transfer` (for error
             reporting, fault events and degraded results; any indexable
             sequence, so merged programs can build them on demand).
-        chunk_objects: chunk id -> original chunk identifier.
+        chunk_objects: chunk id -> original chunk identifier (any
+            indexable sequence, like ``transfers``).
         src, dst, port: per-transfer endpoints and cube dimension.
         link: per-transfer dense directed-link id.
         elems: per-transfer payload size in elements.
@@ -97,7 +98,7 @@ class LoweredSchedule:
     n_groups: int
     n_links: int
     transfers: Sequence[Transfer]
-    chunk_objects: list[Chunk]
+    chunk_objects: Sequence[Chunk]
     src: np.ndarray
     dst: np.ndarray
     port: np.ndarray

@@ -29,9 +29,9 @@ The merged table runs bit-identically to lowering the equivalent
 chunk-tagged merged :class:`~repro.sim.schedule.Schedule`; it differs
 only in slot, chunk and group numbering (that lowering may also pool
 equal-keyed slots of different jobs into one group), which the engine
-never observes.  Tagged ``Transfer``
-objects are only built when the engine asks for one (fault events,
-deadlock reports, degraded results).
+never observes.  Tagged ``Transfer`` objects and ``(tag, chunk)``
+chunk objects are only built when asked for (fault events, deadlock
+reports, degraded results, decoded holdings).
 
 Unlike :func:`repro.sim.schedule.merge_schedules` (which exists to be
 re-packed into a new valid round structure), a merged program is meant
@@ -42,10 +42,9 @@ like the paper's port-model admission rules demand.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -87,12 +86,6 @@ class JobEntry:
                 f"{self.schedule.num_transfers}"
             )
 
-    @cached_property
-    def tagged_chunks(self) -> list[Chunk]:
-        """The table's chunk objects as ``(tag, chunk)``, built once."""
-        tag = self.tag
-        return [(tag, c) for c in self.lowered.chunk_objects]
-
 
 class _TaggedTransfers(Sequence[Transfer]):
     """Merged transfer id -> chunk-tagged ``Transfer``, built on access."""
@@ -112,6 +105,24 @@ class _TaggedTransfers(Sequence[Transfer]):
         t = entry.lowered.transfers[self._local[i]]
         tag = entry.tag
         return Transfer(t.src, t.dst, frozenset((tag, c) for c in t.chunks))
+
+
+class _TaggedChunks(Sequence[Chunk]):
+    """Merged chunk id -> ``(tag, chunk)``, built on access."""
+
+    def __init__(self, entries: list[JobEntry], chunk_ptr: np.ndarray) -> None:
+        self._entries = entries
+        self._ptr = chunk_ptr.tolist()
+
+    def __len__(self) -> int:
+        return self._ptr[-1]
+
+    def __getitem__(self, i: int) -> Chunk:  # type: ignore[override]
+        if not 0 <= i < self._ptr[-1]:
+            raise IndexError(f"chunk id {i} out of range")
+        j = bisect_right(self._ptr, i) - 1
+        entry = self._entries[j]
+        return (entry.tag, entry.lowered.chunk_objects[i - self._ptr[j]])
 
 
 @dataclass
@@ -233,9 +244,7 @@ def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
         n_groups=int(group_ptr[-1]),
         n_links=int(uniq_edges.size),
         transfers=_TaggedTransfers(entries, owners, local),
-        chunk_objects=list(chain.from_iterable(
-            e.tagged_chunks for e in entries
-        )),
+        chunk_objects=_TaggedChunks(entries, chunk_ptr),
         src=src,
         dst=dst,
         port=cat("port")[order],

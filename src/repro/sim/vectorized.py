@@ -42,16 +42,15 @@ The wake heap holds raw floats deduplicated by their exact bit pattern
 (a set of float keys — the "microtick" identity of an instant), so the
 heap stays bounded by the number of genuinely distinct event times.
 
-Per instant, admission candidates are prefiltered in bulk by the
-:mod:`repro.sim._kernels` kernel (NumPy masks over the payload-ready
-column and a per-transfer constraint column ``vc``; numba-jitted when
-available); only the survivors reach the exact scalar check.  The
-``vc`` gate is exact, not conservative: a blocked transfer's stored
-constraint is re-materialized by the dirty-channel sweep whenever its
-resources change, so at prefilter time ``vc > limit`` is precisely the
-reference's own admission refusal (under the all-port model ``vc`` can
-lag *below* the true link constraint, which costs a re-exam, never a
-wrong skip).  Channel state itself stays in per-node Python lists
+Per instant, admission candidates are prefiltered in bulk by
+:func:`_prefilter` (NumPy masks over the payload-ready column and a
+per-transfer constraint column ``vc``); only the survivors reach the
+exact scalar check.  The ``vc`` gate is exact, not conservative: a
+blocked transfer's stored constraint is re-materialized by the
+dirty-channel sweep whenever its resources change, so at prefilter
+time ``vc > limit`` is precisely the reference's own admission refusal
+(under the all-port model ``vc`` can lag *below* the true link
+constraint, which costs a re-exam, never a wrong skip).  Channel state itself stays in per-node Python lists
 pruned exactly like the reference engine's channels — the float
 arithmetic is identical expression for expression.
 """
@@ -64,7 +63,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.obs.instruments import engine_run_finished
-from repro.sim._kernels import prefilter
 from repro.sim._lazy import Deferred
 from repro.sim.engine import _EPS, AsyncResult
 from repro.sim.faults import (
@@ -87,6 +85,21 @@ from repro.topology.hypercube import DirectedEdge
 __all__ = ["run_async_vectorized"]
 
 _INF = float("inf")
+
+
+def _prefilter(
+    idx: np.ndarray, ready: np.ndarray, vc: np.ndarray, limit: float
+) -> np.ndarray:
+    """Candidate ids from ``idx`` requiring an exact exam at this instant.
+
+    Kept iff payload-ready and constraint are both ``<= limit``: a
+    virgin transfer has ``vc = 0``, a parked one its exact constraint,
+    an executed or faulted one ``+inf`` (see the module docstring).
+    """
+    sub = idx[ready[idx] <= limit]
+    if sub.size == 0:
+        return sub
+    return sub[vc[sub] <= limit]
 
 
 def run_async_vectorized(
@@ -298,7 +311,7 @@ def run_async_vectorized(
         limit = now + eps
 
         if pending:
-            cand_arr = prefilter(
+            cand_arr = _prefilter(
                 np.asarray(pending, dtype=np.int64), ready_np, vc_np, limit
             )
             pending = []

@@ -40,9 +40,10 @@ structurally impossible.
 
 Determinism: the loop consumes only simulated-time quantities, with
 admission order (then declaration order) breaking every tie.  The
-``jobs`` worker pool parallelizes schedule *generation* only — pure
-functions reassembled in a deterministic order — so worker count and
-start method never change a report bit.
+``jobs`` worker pool parallelizes schedule *generation* only
+(:func:`~repro.service.exec.pregenerate_schedules`, shared with the
+service: pure functions reassembled in a deterministic order), so the
+worker count never changes a report bit.
 """
 
 from __future__ import annotations
@@ -57,7 +58,13 @@ from repro.collectives.api import (
     check_delivery,
 )
 from repro.obs.instruments import workload_run_finished
-from repro.service.exec import ExecutionView, execute_program, lower_jobs
+from repro.service.exec import (
+    ExecutionView,
+    check_jobs,
+    execute_program,
+    lower_jobs,
+    pregenerate_schedules,
+)
 from repro.sim.lowering import LoweredSchedule
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry, merge_programs
@@ -95,61 +102,6 @@ def _phase_key(dimension: int, port_value: str, p: PhaseSpec) -> tuple:
         dimension, p.op, algorithm, source, p.message_elems, packet,
         port_value, p.subtree_order,
     )
-
-
-def _build_schedule(args: tuple) -> tuple[Schedule, dict[int, set[Chunk]]]:
-    """Worker-side schedule generation (module-level for spawn pickling)."""
-    from repro.collectives.api import collective_schedule
-    from repro.sim.ports import PortModel
-
-    dimension, op, algorithm, source, m, b, port_value, subtree = args
-    return collective_schedule(
-        Hypercube(dimension), op, algorithm, source, m, b,
-        PortModel(port_value), subtree,
-    )
-
-
-def _pregenerate(
-    workload: Workload,
-    steps: int,
-    jobs: int | None,
-    mp_context: str | None,
-) -> dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]]:
-    """Build every distinct schedule the run will need, once.
-
-    Mirrors the service scheduler's pregeneration: keys are collected
-    in (step, declaration) order, built in a worker pool when ``jobs``
-    asks for one, and reassembled positionally — so parallelism cannot
-    reorder or change anything.
-    """
-    keys: list[tuple] = []
-    seen: set[tuple] = set()
-    for s in range(steps):
-        for p in workload.dag(s).collective_phases:
-            k = _phase_key(workload.dimension, workload.port_model.value, p)
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
-    workers = jobs
-    if workers == 0:
-        import os
-
-        workers = os.cpu_count() or 1
-    built: dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]] = {}
-    if workers is None or workers <= 1 or len(keys) <= 1:
-        for k in keys:
-            built[k] = _build_schedule(k)
-        return built
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    ctx = multiprocessing.get_context(mp_context) if mp_context else None
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(keys)), mp_context=ctx
-    ) as pool:
-        for k, out in zip(keys, pool.map(_build_schedule, keys)):
-            built[k] = out
-    return built
 
 
 def _link_utilization(
@@ -444,7 +396,6 @@ def run_workload(
     *,
     backend: str = "sim",
     jobs: int | None = None,
-    mp_context: str | None = None,
 ) -> WorkloadReport:
     """Execute ``steps`` steps of ``workload`` end to end.
 
@@ -457,9 +408,8 @@ def run_workload(
         backend: ``"sim"`` (default) or ``"runtime"`` (serial DAGs of
             runtime-supported ops only).
         jobs: worker processes for schedule pregeneration (``None``/1 =
-            inline, 0 = all cores).  Worker count never changes report
-            bits.
-        mp_context: start method for the pregeneration pool.
+            inline, 0 = all cores; negative raises ``ValueError``).
+            Worker count never changes report bits.
 
     Returns:
         A :class:`~repro.workloads.report.WorkloadReport` with one
@@ -468,6 +418,7 @@ def run_workload(
     t_wall = perf_counter()
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    check_jobs(jobs)
     if backend not in WORKLOAD_BACKENDS:
         raise ValueError(
             f"backend must be one of {WORKLOAD_BACKENDS}, got {backend!r}"
@@ -484,7 +435,14 @@ def run_workload(
         backend=backend,
     )
     if backend == "sim":
-        schedules = _pregenerate(workload, steps, jobs, mp_context)
+        schedules = pregenerate_schedules(
+            (
+                _phase_key(workload.dimension, workload.port_model.value, p)
+                for s in range(steps)
+                for p in workload.dag(s).collective_phases
+            ),
+            jobs,
+        )
         tables = lower_jobs(cube, schedules)
         t0 = 0.0
         for s in range(steps):

@@ -124,7 +124,7 @@ class TestRunSweep:
         assert d["num_points"] == 4
         assert len(d["points"]) == 4
         assert {p["index"] for p in d["points"]} == {0, 1, 2, 3}
-        assert "lru_hits" in d and "disk_misses" in d
+        assert "lru_hits" in d and "lru_misses" in d
         assert isinstance(result.stats.summary(), str)
 
     def test_env_jobs_drives_sweep(self, monkeypatch):

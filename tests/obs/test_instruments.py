@@ -127,8 +127,6 @@ class _FakePoint:
     wall_s: float = 0.1
     lru_hits: int = 0
     lru_misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
 
 
 @dataclass
@@ -156,28 +154,24 @@ class _FakeStats:
     def lru_misses(self) -> int:
         return sum(p.lru_misses for p in self.points)
 
-    @property
-    def disk_hits(self) -> int:
-        return sum(p.disk_hits for p in self.points)
-
-    @property
-    def disk_misses(self) -> int:
-        return sum(p.disk_misses for p in self.points)
-
 
 class TestSweepFlush:
     def test_flush_folds_points_and_caches(self):
         points0 = SWEEP_POINTS.labels(executor="serial").value
         hits0 = SWEEP_CACHE_OPS.labels(layer="lru", op="hit").value
+        misses0 = SWEEP_CACHE_OPS.labels(layer="lru", op="miss").value
         stats = _FakeStats(
             points=[
-                _FakePoint(wall_s=0.4, lru_hits=3, disk_misses=1),
+                _FakePoint(wall_s=0.4, lru_hits=3, lru_misses=1),
                 _FakePoint(wall_s=0.6, lru_hits=2),
             ]
         )
         sweep_finished(stats)
         assert SWEEP_POINTS.labels(executor="serial").value == points0 + 2
         assert SWEEP_CACHE_OPS.labels(layer="lru", op="hit").value == hits0 + 5
+        assert (
+            SWEEP_CACHE_OPS.labels(layer="lru", op="miss").value == misses0 + 1
+        )
         # utilization = point_wall / (wall * jobs) = 1.0 / (1.0 * 2)
         assert SWEEP_WORKER_UTILIZATION.value == pytest.approx(0.5)
 

@@ -17,7 +17,9 @@ hosts under all three port models:
   the engine's former slot-level format — down to the transfer log
   and the link-stats dict order;
 * its groups partition the slots exactly by ``(initial availability,
-  writer set)``.
+  writer set)``;
+* two runs of one program move the engine's work counters (events,
+  admission blocks, deliveries) by the same amounts.
 
 The random schedules are a first slice of an arbitrary-schedule
 fuzzer: random chunk sets spread along random host edges, each
@@ -33,23 +35,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import REGISTRY
+from repro.obs.instruments import (
+    ENGINE_ADMISSION_BLOCKS,
+    ENGINE_DELIVERIES,
+    ENGINE_EVENTS,
+)
+from repro.service.exec import pregenerate_schedules
 from repro.sim._engine_reference import run_async_reference
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import LoweredSchedule, lower_schedule
-from repro.sim.machine import ZERO_STARTUP, MachineParams
+from repro.sim.machine import IPSC_D7, ZERO_STARTUP, MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
 from repro.sim.vectorized import run_async_vectorized
 from repro.topology import Hypercube, Torus
 from repro.topology.base import Topology
 from repro.workloads import WORKLOAD_SCENARIOS
-from repro.workloads.exec import _pregenerate
+from repro.workloads.exec import _phase_key
 
 TOPOLOGIES = (Hypercube(2), Hypercube(3), Torus(2, 3), Torus(2, 4))
 MACHINES = (
     MachineParams(),
     MachineParams(tau=2.0, t_c=0.5, overlap=0.5, name="overlap"),
     ZERO_STARTUP,  # zero-element packets take no time at all
+    IPSC_D7,  # the paper's machine: millisecond start-ups, 20% overlap
 )
 # integer and half-integer instants: with the machines above, transfer
 # ends land on the same grid, so releases and fault activations tie
@@ -296,7 +306,11 @@ def test_moe_step_tables_group_exactly():
     """The all-to-all workload's own tables satisfy the partition too."""
     w = WORKLOAD_SCENARIOS["moe-alltoall"].build(0)
     cube = Hypercube(w.dimension)
-    for schedule, initial in _pregenerate(w, 1, None, None).values():
+    keys = (
+        _phase_key(w.dimension, w.port_model.value, p)
+        for p in w.dag(0).collective_phases
+    )
+    for schedule, initial in pregenerate_schedules(keys).values():
         low = lower_schedule(cube, schedule, initial)
         assert_payload_groups(low, schedule, initial)
 
@@ -359,3 +373,39 @@ def random_program(draw):
 @given(random_program())
 def test_random_programs_match_reference(case):
     check_program(*case)
+
+
+def _engine_counts() -> list[int]:
+    return [
+        sum(series.value for series in counter.series())
+        for counter in (ENGINE_EVENTS, ENGINE_ADMISSION_BLOCKS, ENGINE_DELIVERIES)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_program())
+def test_random_programs_repeat_engine_counters(case):
+    """Events, admission blocks and deliveries are deterministic: two
+    runs of one drawn program (lowered afresh each time) move
+    ``repro_engine_events_total``, ``..._admission_blocks_total`` and
+    ``..._deliveries_total`` by equal amounts."""
+    cube, schedule, initial, pm, machine, release, faults, on_fault = case
+    prev = REGISTRY.enabled
+    REGISTRY.configure(enabled=True)
+    try:
+        deltas = []
+        for _ in range(2):
+            before = _engine_counts()
+            low = lower_schedule(cube, schedule, initial, release)
+            _run(lambda: run_async_vectorized(
+                cube, None, pm, None, machine, faults=faults,
+                on_fault=on_fault, lowered=low,
+            ))
+            deltas.append(
+                [a - b for a, b in zip(_engine_counts(), before)]
+            )
+    finally:
+        REGISTRY.configure(enabled=prev)
+    assert deltas[0] == deltas[1]
+    if faults is None:
+        assert deltas[0][0] > 0  # the registry really counted this run

@@ -1,15 +1,13 @@
 """Determinism regression: a service run is a pure function of
-(scenario, seed, policy) — worker counts and multiprocessing start
-methods for schedule pregeneration must never leak into results."""
+(scenario, seed, policy) — the worker count for schedule pregeneration
+must never leak into results."""
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 
 from repro.experiments import get_scenario, poisson_jobs, TenantProfile
-from repro.service import run_service
+from repro.service import CollectiveService, run_service
 from repro.topology import Hypercube
 
 SCENARIO = "smoke-mix"
@@ -68,11 +66,6 @@ class TestRunDeterminism:
         fanned = _fingerprint(_run(jobs=2))
         assert serial == fanned
 
-    def test_start_method_is_invisible(self):
-        methods = [
-            m for m in ("fork", "spawn")
-            if m in multiprocessing.get_all_start_methods()
-        ]
-        want = _fingerprint(_run(jobs=1))
-        for method in methods:
-            assert _fingerprint(_run(jobs=2, mp_context=method)) == want
+    def test_negative_jobs_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="jobs"):
+            CollectiveService(Hypercube(3), jobs=-2)

@@ -2,19 +2,17 @@
 
 ``repro.sim.vectorized.run_async_vectorized`` lowers the schedule to
 flat NumPy tables (:mod:`repro.sim.lowering`) and batches admission
-through the :mod:`repro.sim._kernels` prefilter, but its results must
-match the reference oracle to the last ulp: completion time, holdings,
-link statistics, start times, fault errors and degraded results alike.
+through a NumPy prefilter, but its results must match the reference
+oracle to the last ulp: completion time, holdings, link statistics,
+start times, fault errors and degraded results alike.
 ``tests/sim/test_engine_equivalence.py`` runs the plain calls; this
 file covers the engine's own options (a shared ``lowered=`` table, the
-transfer log), randomized collectives, the prefilter kernel's NumPy
-fallback, the ``repro_engine_table_bytes_peak`` gauge, and that no
-engine-selection knob survives.
+transfer log), randomized collectives, the prefilter's semantics, the
+``repro_engine_table_bytes_peak`` gauge, and that no engine-selection
+knob survives.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -36,13 +34,12 @@ from repro.routing import (
     tree_broadcast_schedule,
 )
 from repro.sim._engine_reference import run_async_reference
-from repro.sim._kernels import HAVE_NUMBA, _prefilter_numpy, prefilter
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
-from repro.sim.vectorized import run_async_vectorized
+from repro.sim.vectorized import _prefilter, run_async_vectorized
 from repro.topology.hypercube import Hypercube
 from repro.trees.hamiltonian import HamiltonianPathTree
 from repro.trees.tcbt import TwoRootedCompleteBinaryTree
@@ -294,40 +291,18 @@ def test_property_vectorized_bit_identical(params, algo, machine):
     assert vec.link_stats == ref.link_stats
 
 
-# -- admission-prefilter kernel ---------------------------------------
+# -- admission prefilter ----------------------------------------------
 
 
 def test_prefilter_numpy_semantics():
     ready = np.array([0.0, 5.0, 1.0, np.inf, 2.0])
     vc = np.array([0.0, 0.0, 9.0, 0.0, 2.0])
     idx = np.arange(5, dtype=np.int64)
-    out = _prefilter_numpy(idx, ready, vc, 2.0)
+    out = _prefilter(idx, ready, vc, 2.0)
     # kept iff ready <= limit AND vc <= limit
     assert out.tolist() == [0, 4]
-    empty = _prefilter_numpy(np.array([1, 3], dtype=np.int64), ready, vc, 2.0)
+    empty = _prefilter(np.array([1, 3], dtype=np.int64), ready, vc, 2.0)
     assert empty.tolist() == []
-
-
-def test_prefilter_active_matches_fallback():
-    """Whatever implementation is bound, it must match the fallback."""
-    rng = np.random.default_rng(7)
-    ready = rng.uniform(0, 10, size=64)
-    vc = rng.uniform(0, 10, size=64)
-    vc[::7] = np.inf
-    idx = np.asarray(rng.permutation(64)[:40], dtype=np.int64)
-    got = prefilter(idx, ready, vc, 5.0)
-    want = _prefilter_numpy(idx, ready, vc, 5.0)
-    assert sorted(got.tolist()) == sorted(want.tolist())
-
-
-def test_numba_gate_honours_environment():
-    """With REPRO_NO_NUMBA set (or numba absent) the fallback is bound."""
-    if os.environ.get("REPRO_NO_NUMBA"):
-        assert not HAVE_NUMBA
-        assert prefilter is _prefilter_numpy
-    elif not HAVE_NUMBA:
-        # numba not installed: the canonical NumPy path serves
-        assert prefilter is _prefilter_numpy
 
 
 # -- no engine selection -----------------------------------------------
