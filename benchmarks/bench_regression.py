@@ -1,7 +1,8 @@
 """Benchmark-regression suite: canonical workloads pinned in BENCH_ENGINE.json.
 
-The workloads cover the event engine, the lock-step engine and the
-schedule-generation path (cold and cached).  ``scripts/bench_compare.py`` runs this file with
+The workloads cover the event engine (including a convoy of transfers
+queued on one link), the lock-step engine and the schedule-generation
+path (cold and cached).  ``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
 against the medians recorded in ``BENCH_ENGINE.json`` at the repo root;
 ``--update`` refreshes the baseline.  Run the suite directly with::
@@ -15,7 +16,7 @@ one orphans its baseline entry.
 import pytest
 
 from repro import cache
-from repro.routing import msbt_broadcast_schedule
+from repro.routing import bst_scatter_schedule, msbt_broadcast_schedule
 from repro.sim import (
     IPSC_D7,
     PortModel,
@@ -71,6 +72,21 @@ def test_regress_vectorized_engine_n12(benchmark):
         run_async_vectorized,
         args=(cube, sched, PortModel.ONE_PORT_FULL, init, IPSC_D7),
         rounds=1,
+        iterations=1,
+    )
+    assert res.time > 0
+
+
+def test_regress_vectorized_bst_scatter_n7_ipsc(benchmark):
+    # The convoy case: on the one-port-half iPSC/d7, 1 KB per node in
+    # 32-element packets queue deep on the source's links.
+    cube = Hypercube(7)
+    sched = bst_scatter_schedule(cube, 0, 1024, 32, PortModel.ONE_PORT_HALF)
+    init = {0: set(sched.chunk_sizes)}
+    res = benchmark.pedantic(
+        run_async_vectorized,
+        args=(cube, sched, PortModel.ONE_PORT_HALF, init, IPSC_D7),
+        rounds=3,
         iterations=1,
     )
     assert res.time > 0

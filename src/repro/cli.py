@@ -68,9 +68,21 @@ _SWEEP_TARGETS = {
 }
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a worker count, 0 meaning all cores."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = all cores), got {n}")
+    return n
+
+
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs", "-j", type=int, default=None,
+        "--jobs", "-j", type=_jobs, default=None,
         help="worker processes for the point grid "
              "(default: REPRO_JOBS or 1; 0 = all cores)")
 
@@ -148,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scheduling policy for contention priority")
     sr.add_argument("--seed", type=int, default=0,
                     help="workload seed (same seed -> same job list)")
-    sr.add_argument("--jobs", "-j", type=int, default=None,
+    sr.add_argument("--jobs", "-j", type=_jobs, default=None,
                     help="worker processes for schedule pregeneration "
                          "(default: REPRO_JOBS or 1; 0 = all cores); "
                          "output is identical at any worker count")
@@ -199,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(concurrent phases contend); runtime: execute "
                          "each phase on the actor runtime (serial DAGs "
                          "of broadcast/scatter only)")
-    wr.add_argument("--jobs", "-j", type=int, default=None,
+    wr.add_argument("--jobs", "-j", type=_jobs, default=None,
                     help="worker processes for schedule pregeneration "
                          "(default: 1; 0 = all cores); output is "
                          "identical at any worker count")

@@ -74,7 +74,8 @@ __all__ = [
 
 ENGINE_EVENTS = REGISTRY.counter(
     "repro_engine_events_total",
-    "Event-loop examinations processed by the async engine.",
+    "Event-loop examinations processed by the async engine "
+    "(admission blocks plus executed and faulted transfers).",
     ("engine",),
 )
 ENGINE_TRANSFERS = REGISTRY.counter(
@@ -89,7 +90,8 @@ ENGINE_ELEMS = REGISTRY.counter(
 )
 ENGINE_ADMISSION_BLOCKS = REGISTRY.counter(
     "repro_engine_admission_blocks_total",
-    "Transfer starts deferred by port-model admission or link serialization.",
+    "Pile exams (one per directed link with queued transfers) that found "
+    "the link blocked by port-model admission or link serialization.",
     ("engine", "port_model"),
 )
 ENGINE_DELIVERIES = REGISTRY.counter(

@@ -7,8 +7,8 @@ per-transfer Python objects.  Results are bit-identical — the
 equivalence suite asserts it on every tree, port model, machine and
 fault plan.
 
-How bit-identity survives vectorization
----------------------------------------
+How bit-identity survives
+-------------------------
 The reference engine advances time instant by instant: at each instant
 it rescans *all* pending transfers in program order until a fixpoint,
 then jumps ``now`` to the earliest pushed wake-up strictly more than
@@ -27,36 +27,55 @@ must push the same wake values, no more and no fewer.  They are:
 * blocked transfers' constraint values — maxima over channel windows
   whose other-port terms use the *end-start* release form
   ``start + (1-ov)*(end-start)``, one ulp away from the duration form
-  in general.  The reference re-pushes these for every blocked
-  transfer at every instant; this engine materializes them with a
-  dirty-channel sweep before each time advance — every transfer blocked on a channel occupied during the
-  closed instant gets its constraint re-evaluated against final
-  instant state and pushed as a pure wake.
+  in general.
 
-With the wake values aligned, the full rescan is unnecessary: within
-an instant the scalar admission loop below replays the reference's
-program-order fixpoint exactly — including mid-pass pickup of
-transfers enabled by zero-duration deliveries.
+Link piles
+----------
+A transfer's constraint is ``max(now, send-window walk at src for its
+port, recv-window walk at dst for its port, link_free[link])``, and
+the port is a function of the link.  So every payload-ready transfer
+queued on one directed link waits on the same value: the reference's
+per-transfer re-exams of a busy link push one value over and over.
+This engine keeps those transfers in a *pile* per directed link, in
+program order, with one stamp (send-channel epoch, recv-channel epoch,
+``link_free``), one stored constraint and one calendar entry.  The
+reference's scan of a pile member only does something new where the
+pile's state differs from its last exam, so the program-order pass
+visits a pile only at:
+
+* its head, when its stored constraint falls due at this instant;
+* the first member after (in program order) a change of its state —
+  an occupation of its send or receive channel or its link.  With no
+  member after the change, the pile's head is visited in the next
+  pass (the reference runs one, since something started);
+* a member joining it (payload-ready) while it needs an exam; a
+  joiner that sorts before the cursor waits for the next pass, like
+  the reference's;
+* the next member after its head started, only if ``link_free`` is
+  still within the instant (zero-duration transfers), or after its
+  head faulted.
+
+A visit whose pile state matches the stamp reuses the stored value; a
+changed state re-walks the channel windows once for the whole pile and
+pushes the result.  The value at the first member after each change
+is exactly what the reference's scan of that member pushes, so the
+engine pushes the reference's wake values — including those a
+channel epoch change in mid-instant makes — with work proportional to
+piles, not queued transfers.  When a head starts, its pile's new value
+is its own ``end`` (every other window term was at most its start),
+which is already in the heap; only a later occupation needs a re-walk.
 
 The wake heap holds raw floats deduplicated by their exact bit pattern
 (a set of float keys — the "microtick" identity of an instant), so the
 heap stays bounded by the number of genuinely distinct event times.
-
-Per instant, admission candidates are prefiltered in bulk by
-:func:`_prefilter` (NumPy masks over the payload-ready column and a
-per-transfer constraint column ``vc``); only the survivors reach the
-exact scalar check.  The ``vc`` gate is exact, not conservative: a
-blocked transfer's stored constraint is re-materialized by the
-dirty-channel sweep whenever its resources change, so at prefilter
-time ``vc > limit`` is precisely the reference's own admission refusal
-(under the all-port model ``vc`` can lag *below* the true link
-constraint, which costs a re-exam, never a wrong skip).  Channel state itself stays in per-node Python lists
-pruned exactly like the reference engine's channels — the float
-arithmetic is identical expression for expression.
+Channel state itself stays in per-node Python lists pruned exactly
+like the reference engine's channels — the float arithmetic is
+identical expression for expression.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from time import perf_counter
 
@@ -85,21 +104,6 @@ from repro.topology.hypercube import DirectedEdge
 __all__ = ["run_async_vectorized"]
 
 _INF = float("inf")
-
-
-def _prefilter(
-    idx: np.ndarray, ready: np.ndarray, vc: np.ndarray, limit: float
-) -> np.ndarray:
-    """Candidate ids from ``idx`` requiring an exact exam at this instant.
-
-    Kept iff payload-ready and constraint are both ``<= limit``: a
-    virgin transfer has ``vc = 0``, a parked one its exact constraint,
-    an executed or faulted one ``+inf`` (see the module docstring).
-    """
-    sub = idx[ready[idx] <= limit]
-    if sub.size == 0:
-        return sub
-    return sub[vc[sub] <= limit]
 
 
 def run_async_vectorized(
@@ -141,8 +145,7 @@ def run_async_vectorized(
     _check_mode(on_fault)
     report = faults is not None and on_fault == "report"
     half = port_model.half_duplex
-    allport = port_model is PortModel.ALL_PORT
-    use_lb = not allport
+    use_lb = port_model is not PortModel.ALL_PORT
     ov1 = 1.0 - machine.overlap
     eps = _EPS
 
@@ -181,77 +184,90 @@ def run_async_vectorized(
     avail_py = low.init_avail.tolist()
     missing_py = low.init_missing.tolist()
     done_py = [False] * nT
-    ready_np = np.full(nT, np.inf)
-    # Queue-membership marker: a transfer already sitting in the current
-    # instant's exam queues is never pushed a second time (the reference
-    # examines each pending transfer at most once per scan pass).
-    inq = [False] * nT
-    link_free_py = [0.0] * low.n_links
+    ready_py = [_INF] * nT
+    inpile = [False] * nT
+    n_links = low.n_links
+    link_free_py = [0.0] * n_links
     num_nodes = cube.num_nodes
-    n_ports = cube.num_ports
-    if use_lb:
-        # Exact channel windows, pruned like _Channel.
-        swin: list[list[tuple[int, float, float]]] = [
-            [] for _ in range(num_nodes)
-        ]
-        rwin = swin if half else [[] for _ in range(num_nodes)]
-        # Transfers currently blocked on each node channel, and the
-        # channels occupied since the last time advance (the dirty set
-        # driving the constraint re-materialization sweep).
-        sblk: list[set[int]] = [set() for _ in range(num_nodes)]
-        rblk = sblk if half else [set() for _ in range(num_nodes)]
-        dirty_s: set[int] = set()
-        dirty_r: set[int] = set()
-    else:
-        swin = rwin = [[]]
-        sblk = rblk = [set()]
-        dirty_s = set()
-        dirty_r = set()
-    # Outstanding blocked-set entries; while zero, the execute path can
-    # skip blocked-set and dirty-channel bookkeeping entirely.
-    blk_total = 0
-    # Per-channel occupation epochs plus per-blocked-transfer stamps of
-    # (send epoch, recv epoch, link_free) at exam time: a transfer that
-    # blocked in one pass is re-examined in the next only if one of its
-    # three resources changed after the exam — an unchanged re-exam
-    # recomputes the same constraint, whose wake the first exam already
-    # pushed, so skipping it is exactly a no-op.
+    # Exact channel windows, pruned like _Channel, and per-channel
+    # occupation epochs (all-port runs keep none: only link_free binds).
+    swin: list[list[tuple[int, float, float]]] = [
+        [] for _ in range(num_nodes if use_lb else 0)
+    ]
+    rwin = swin if half else [[] for _ in range(len(swin))]
     es = [0] * num_nodes
     er = es if half else [0] * num_nodes
-    st_se = [0] * nT
-    st_re = [0] * nT
-    st_lf = [0.0] * nT
-    # Stored constraint value at stamp time (max of channel walks and
-    # link-free).  It is only ever read under unchanged stamps, where
-    # max(now, vc) reproduces the walk bit for bit; the zero init
-    # encodes the virgin state exactly — empty windows and a free link
-    # constrain to ``now``.  The NumPy mirror is the prefilter's
-    # admission gate; ``vc_touch`` collects ids whose mirror entry is
-    # stale, flushed in one fancy assignment per instant (executed and
-    # faulted transfers are then batch-set to +inf, dropping them from
-    # all future candidate sets).
-    vc_py = [0.0] * nT
-    vc_np = np.zeros(nT)
-    vc_touch: list[int] = []
+    # Non-empty piles by the channel an occupation invalidates them
+    # through: send channel of their source, receive channel of their
+    # destination (one node channel under half duplex).
+    spl: list[set[int]] = [set() for _ in range(len(swin))]
+    rpl = spl if half else [set() for _ in range(len(swin))]
 
-    # Event calendar: transfer ids bucketed under the exact float time
-    # at which they next surface as admission candidates (their ready
-    # or stored-constraint value — always also a wake-heap value, so
-    # the advance's own pops harvest the due buckets).  Every vc/ready
-    # change files a new entry, so the latest state always has one;
-    # stale (superseded or post-execution) entries are tolerated — the
-    # kernel filters them in bulk against the current ``vc`` column.
-    # This keeps per-instant work proportional to the transfers
-    # actually due, not to the number of enabled transfers.
+    # Link piles (see the module docstring): members ascending, the
+    # stamp and stored constraint of the last exam (the zero init is
+    # the virgin state exactly — empty windows and a free link
+    # constrain to ``now``), the member position of the visit pending
+    # in this pass (``nT`` = none) and whether a next-pass visit is
+    # queued.
+    mem: list[list[int]] = [[] for _ in range(n_links)]
+    pse = [0] * n_links
+    pre = [0] * n_links
+    plf = [0.0] * n_links
+    pv = [0.0] * n_links
+    none = nT
+    vis = [none] * n_links
+    inn = [False] * n_links
+    # This pass's visits (member positions, popped in program order)
+    # and the piles whose head the next pass visits.
+    vq: list[int] = []
+    nextp: list[int] = []
+
+    # Event calendars: transfer ids under their payload-ready time and
+    # piles under their stored constraint — exact floats that are also
+    # wake-heap values, so the time advance harvests the due buckets.
+    # Stale entries (a superseded value, a started transfer) are
+    # filtered at harvest.
     calendar: dict[float, list[int]] = {}
-    # Entries falling inside the instant being processed (sweep values
-    # clamped to ``now``) carry straight into the next instant's due
-    # list instead, as do the t=0 seeds.
-    pending: list[int] = []
+    pcal: dict[float, list[int]] = {}
+    # Harvested for the instant being opened (and the t=0 seeds).
+    due_ids: list[int] = []
+    due_piles: list[int] = []
 
     # Wake heap of raw float times, deduplicated by exact bit pattern.
     wake: list[float] = []
     wake_set: set[float] = set()
+
+    def visit_after(li: int, x: int) -> None:
+        """Visit pile ``li`` at its first member after position ``x``
+        in this pass, or at its head in the next pass."""
+        lst = mem[li]
+        k = bisect_right(lst, x)
+        if k < len(lst):
+            f = lst[k]
+            if f < vis[li]:
+                vis[li] = f
+                heappush(vq, f)
+        elif not inn[li]:
+            inn[li] = True
+            nextp.append(li)
+
+    def join(m: int, x: int) -> None:
+        """File payload-ready transfer ``m`` in its pile at position ``x``
+        of the pass; visit it if the pile's stored value is stale or due."""
+        li = link_py[m]
+        lst = mem[li]
+        inpile[m] = True
+        if not lst and use_lb:
+            spl[src_py[m]].add(li)
+            rpl[dst_py[m]].add(li)
+        insort(lst, m)
+        if (
+            pv[li] <= limit
+            or pse[li] != es[src_py[m]]
+            or pre[li] != er[dst_py[m]]
+            or plf[li] != link_free_py[li]
+        ):
+            visit_after(li, x)
 
     for i in range(nT):
         if missing_py[i] == 0:
@@ -260,7 +276,7 @@ def run_async_vectorized(
                 a = avail_py[s]
                 if a > r:
                     r = a
-            ready_np[i] = r
+            ready_py[i] = r
             if r > eps:
                 # Release-delayed seed (multi-job programs): file it for
                 # the instant its payload is released, exactly like a
@@ -274,7 +290,7 @@ def run_async_vectorized(
                     wake_set.add(r)
                     heappush(wake, r)
             else:
-                pending.append(i)
+                due_ids.append(i)
 
     remaining = nT
     now = 0.0
@@ -285,7 +301,6 @@ def run_async_vectorized(
     lost: list[Transfer] = []
 
     t0 = perf_counter()
-    doneskip_n = 0
     blocks_n = 0
 
     def _flush(deadlocked: bool = False, starved: int = 0) -> None:
@@ -296,10 +311,7 @@ def run_async_vectorized(
             transfers=len(start_times),
             elems=int(low.elems[ids].sum()),
             seconds=perf_counter() - t0,
-            events=(
-                blocks_n + doneskip_n
-                + len(start_times) + len(fault_events)
-            ),
+            events=blocks_n + len(start_times) + len(fault_events),
             admission_blocks=blocks_n,
             deliveries=int(out_walked.sum()),
             faulted=len(lost) + starved,
@@ -309,65 +321,38 @@ def run_async_vectorized(
 
     while remaining:
         limit = now + eps
-
-        if pending:
-            cand_arr = _prefilter(
-                np.asarray(pending, dtype=np.int64), ready_np, vc_np, limit
-            )
-            pending = []
-            # unique: an id with several due entries is examined once
-            cur: list[int] = np.unique(cand_arr).tolist()
-        else:
-            cur = []
-        for i in cur:
-            inq[i] = True
-        nextpass: list[int] = []
-        blocked_acc: list[int] = []
-        idone: list[int] = []
+        for i in due_ids:
+            if not inpile[i] and not done_py[i] and ready_py[i] <= limit:
+                join(i, -1)
+        for li in due_piles:
+            if mem[li] and pv[li] <= limit:
+                visit_after(li, -1)
+        due_ids = []
+        due_piles = []
 
         while True:
-            mark = len(start_times) + len(fault_events)
-            # Walk `cur` (ascending ids = program order) with a cursor;
-            # `extra` holds same-instant enables ahead of the cursor.
-            extra: list[int] = []
-            ci = 0
-            cn = len(cur)
-            while True:
-                if ci < cn:
-                    i = cur[ci]
-                    if extra and extra[0] < i:
-                        i = heappop(extra)
-                    else:
-                        ci += 1
-                elif extra:
-                    i = heappop(extra)
-                else:
-                    break
-                inq[i] = False
-                if done_py[i]:
-                    doneskip_n += 1
-                    continue
-                p_ = port_py[i]
-                s_ = src_py[i]
-                d_ = dst_py[i]
-                li = link_py[i]
+            while vq:
+                c = heappop(vq)
+                li = link_py[c]
+                if vis[li] != c:
+                    continue  # superseded by an earlier visit
+                vis[li] = none
+                s_ = src_py[c]
+                d_ = dst_py[c]
                 lf = link_free_py[li]
-                if st_se[i] == es[s_] and st_re[i] == er[d_] and st_lf[i] == lf:
-                    # Unchanged resources since the stamped exam (or the
-                    # virgin state, which the zero stamps encode
-                    # exactly): the stored constraint still holds, its
-                    # wake value is already in the heap, and a blocked
-                    # transfer is already in the blocked-channel sets.
-                    start = vc_py[i]
+                if pse[li] == es[s_] and pre[li] == er[d_] and plf[li] == lf:
+                    # Unchanged pile state: the stored constraint holds
+                    # and its wake value is already in the heap.
+                    start = pv[li]
                     if start > limit:
                         blocks_n += 1
-                        blocked_acc.append(i)
                         continue
                     if start < now:
                         start = now
                 else:
                     start = now
                     if use_lb:
+                        p_ = port_py[c]
                         for ap, as_, ae in swin[s_]:
                             v = ae if ap == p_ else as_ + ov1 * (ae - as_)
                             if v > start:
@@ -378,38 +363,37 @@ def run_async_vectorized(
                                 start = v
                     if lf > start:
                         start = lf
+                    pse[li] = es[s_]
+                    pre[li] = er[d_]
+                    plf[li] = lf
+                    # max(now', pv) == max(now', walk) for every later
+                    # instant now' >= now, so the now-clamped value is
+                    # safe to store.
+                    pv[li] = start
                     if start > limit:
                         blocks_n += 1
-                        if use_lb:
-                            bs = sblk[s_]
-                            if i not in bs:
-                                bs.add(i)
-                                blk_total += 1
-                            bs = rblk[d_]
-                            if i not in bs:
-                                bs.add(i)
-                                blk_total += 1
                         if start not in wake_set:
                             wake_set.add(start)
                             heappush(wake, start)
-                        st_se[i] = es[s_]
-                        st_re[i] = er[d_]
-                        st_lf[i] = lf
-                        vc_py[i] = start
-                        vc_touch.append(i)
-                        b = calendar.get(start)
+                        b = pcal.get(start)
                         if b is None:
-                            calendar[start] = [i]
+                            pcal[start] = [li]
                         else:
-                            b.append(i)
-                        blocked_acc.append(i)
+                            b.append(li)
                         continue
 
+                # c leaves its pile, started or faulted
+                lst = mem[li]
+                del lst[bisect_left(lst, c)]
+                inpile[c] = False
+                if not lst and use_lb:
+                    spl[s_].discard(li)
+                    rpl[d_].discard(li)
                 if faults is not None:
                     hit = faults.blocks(s_, d_, start)
                     if hit is not None:
                         kind, subject = hit
-                        t = transfers[i]
+                        t = transfers[c]
                         if on_fault == "raise":
                             _flush()
                             raise FaultError(
@@ -423,11 +407,14 @@ def run_async_vectorized(
                             )
                         fault_events.append(FaultEvent(t, start, kind, subject))
                         lost.append(t)
-                        done_py[i] = True
-                        idone.append(i)
+                        done_py[c] = True
+                        # the pile's state is unchanged: its next member
+                        # meets the same fault in this pass
+                        if lst:
+                            visit_after(li, c)
                         continue
 
-                dur = costs_py[i]
+                dur = costs_py[c]
                 end = start + dur
                 if use_lb:
                     es[s_] += 1
@@ -440,7 +427,7 @@ def run_async_vectorized(
                                 w.clear()
                         else:
                             swin[s_] = w = [a for a in w if a[2] > cut]
-                    w.append((p_, start, end))
+                    w.append((port_py[c], start, end))
                     w = rwin[d_]
                     if w:
                         if len(w) == 1:
@@ -448,25 +435,17 @@ def run_async_vectorized(
                                 w.clear()
                         else:
                             rwin[d_] = w = [a for a in w if a[2] > cut]
-                    w.append((p_, start, end))
-                    if blk_total:
-                        bs = sblk[s_]
-                        if i in bs:
-                            bs.discard(i)
-                            blk_total -= 1
-                        bs = rblk[d_]
-                        if i in bs:
-                            bs.discard(i)
-                            blk_total -= 1
-                        # Only occupations that land while some transfer
-                        # is blocked can invalidate a pushed constraint;
-                        # with nothing blocked the sweep has no work.
-                        dirty_s.add(s_)
-                        dirty_r.add(d_)
+                    w.append((port_py[c], start, end))
+                    # The occupation changes the state of every other
+                    # pile on these two channels.
+                    for q in spl[s_]:
+                        if vis[q] == none and q != li:
+                            visit_after(q, c)
+                    for q in rpl[d_]:
+                        if vis[q] == none and q != li:
+                            visit_after(q, c)
                     # Duration-form overlap release, pushed like the
-                    # reference at occupation; the end-start form the
-                    # channel constraints compute is materialized by
-                    # the dirty-channel sweep before the next advance.
+                    # reference at occupation.
                     r1 = start + ov1 * dur
                     if r1 not in wake_set:
                         wake_set.add(r1)
@@ -475,9 +454,24 @@ def run_async_vectorized(
                 if end not in wake_set:
                     wake_set.add(end)
                     heappush(wake, end)
+                # The pile's own new value: ``end`` bounds every window
+                # term (all others were at most ``start``).
+                pse[li] = es[s_]
+                pre[li] = er[d_]
+                plf[li] = end
+                pv[li] = end
+                if end <= limit:
+                    if lst:
+                        visit_after(li, c)
+                else:
+                    b = pcal.get(end)
+                    if b is None:
+                        pcal[end] = [li]
+                    else:
+                        b.append(li)
 
-                op = out_ptr[i]
-                oe = out_ptr[i + 1]
+                op = out_ptr[c]
+                oe = out_ptr[c + 1]
                 outs = (
                     (out_idx[op],) if oe - op == 1 else out_idx[op:oe]
                 )
@@ -501,11 +495,8 @@ def run_async_vectorized(
                                 missing_py[w2] = m
                                 if m:
                                     continue
-                                newly = True
-                            else:
-                                if missing_py[w2]:
-                                    continue
-                                newly = False
+                            elif missing_py[w2]:
+                                continue
                             i0 = in_ptr[w2]
                             i1 = in_ptr[w2 + 1]
                             if i1 - i0 == 1:
@@ -516,7 +507,7 @@ def run_async_vectorized(
                                     a2 = avail_py[s2]
                                     if a2 > r:
                                         r = a2
-                            ready_np[w2] = r
+                            ready_py[w2] = r
                             if r > limit:
                                 b = calendar.get(r)
                                 if b is None:
@@ -528,140 +519,30 @@ def run_async_vectorized(
                                 if r not in wake_set:
                                     wake_set.add(r)
                                     heappush(wake, r)
-                            elif not inq[w2]:
-                                # Enabled at this same instant: the
-                                # reference's scan picks it up in this
-                                # pass when it lies ahead of the
-                                # cursor, next pass otherwise.
-                                inq[w2] = True
-                                if w2 > i:
-                                    heappush(extra, w2)
-                                else:
-                                    nextpass.append(w2)
+                            elif not inpile[w2]:
+                                # Enabled at this same instant: scanned
+                                # in this pass when it lies ahead of
+                                # the cursor, next pass otherwise.
+                                join(w2, c)
 
                 start_times.append(start)
-                executed_ids.append(i)
+                executed_ids.append(c)
                 if end > finish:
                     finish = end
-                done_py[i] = True
-                idone.append(i)
+                done_py[c] = True
 
-            dtot = len(start_times) + len(fault_events)
-            remaining = nT - dtot
-            if dtot == mark or not remaining:
+            if not nextp:
                 break
-            if blocked_acc:
-                for j in blocked_acc:
-                    if (
-                        not done_py[j]
-                        and not inq[j]
-                        and (
-                            es[src_py[j]] != st_se[j]
-                            or er[dst_py[j]] != st_re[j]
-                            or link_free_py[link_py[j]] != st_lf[j]
-                        )
-                    ):
-                        inq[j] = True
-                        nextpass.append(j)
-            if not nextpass:
-                break
-            cur = nextpass
-            nextpass = []
-            cur.sort()
+            heads = nextp
+            nextp = []
+            for li in heads:
+                inn[li] = False
+                if mem[li]:
+                    visit_after(li, -1)
 
-        for j in nextpass:  # delivery-enabled when the instant closed
-            inq[j] = False
-
+        remaining = nT - len(start_times) - len(fault_events)
         if not remaining:
             break
-
-        # Dirty-channel sweep (see module docstring): re-evaluate every
-        # transfer blocked on a channel occupied during this instant and
-        # push its constraint — computed from final instant state, with
-        # the end-start release form — as a pure wake.  This is where
-        # the reference's per-instant rescan pushes come from.
-        if use_lb and (dirty_s or dirty_r):
-            # Channel windows are frozen for the whole sweep, so the
-            # per-(node, port) walk maxima are memoized — the blocked
-            # transfers of one pile share their send-side walk.
-            swc: dict[int, float] = {}
-            rwc = swc if half else {}
-            for blk_list, nodes in ((sblk, dirty_s), (rblk, dirty_r)):
-                for node in nodes:
-                    blocked = blk_list[node]
-                    for w3 in list(blocked):
-                        if done_py[w3]:
-                            blocked.discard(w3)
-                            blk_total -= 1
-                            continue
-                        # Unchanged resources since the blocked exam (or
-                        # a previous sweep visit) mean an unchanged
-                        # constraint, already in the wake set.
-                        sw3 = src_py[w3]
-                        dw3 = dst_py[w3]
-                        lfw = link_free_py[link_py[w3]]
-                        if (
-                            es[sw3] == st_se[w3]
-                            and er[dw3] == st_re[w3]
-                            and lfw == st_lf[w3]
-                        ):
-                            continue
-                        st_se[w3] = es[sw3]
-                        st_re[w3] = er[dw3]
-                        st_lf[w3] = lfw
-                        pw = port_py[w3]
-                        k_ = sw3 * n_ports + pw
-                        sv = swc.get(k_)
-                        if sv is None:
-                            sv = 0.0
-                            for ap, as_, ae in swin[sw3]:
-                                c = ae if ap == pw else as_ + ov1 * (ae - as_)
-                                if c > sv:
-                                    sv = c
-                            swc[k_] = sv
-                        k_ = dw3 * n_ports + pw
-                        rv = rwc.get(k_)
-                        if rv is None:
-                            rv = 0.0
-                            for ap, as_, ae in rwin[dw3]:
-                                c = ae if ap == pw else as_ + ov1 * (ae - as_)
-                                if c > rv:
-                                    rv = c
-                            rwc[k_] = rv
-                        v = now
-                        if sv > v:
-                            v = sv
-                        if rv > v:
-                            v = rv
-                        if lfw > v:
-                            v = lfw
-                        # max(now', vc) == max(now', true constraint)
-                        # for every later instant now' >= now, so the
-                        # now-clamped value is safe to store.
-                        vc_py[w3] = v
-                        vc_touch.append(w3)
-                        if v > limit:
-                            b = calendar.get(v)
-                            if b is None:
-                                calendar[v] = [w3]
-                            else:
-                                b.append(w3)
-                        else:
-                            pending.append(w3)
-                        if v not in wake_set:
-                            wake_set.add(v)
-                            heappush(wake, v)
-            dirty_s.clear()
-            dirty_r.clear()
-
-        # Flush the NumPy mirrors the prefilter reads, in one batch per
-        # instant: stale vc entries first (duplicate ids all carry the
-        # same final value), then the executed/faulted overrides.
-        if vc_touch:
-            vc_np[vc_touch] = [vc_py[j] for j in vc_touch]
-            vc_touch.clear()
-        if idone:
-            vc_np[idone] = np.inf
 
         nxt = None
         while wake:
@@ -683,17 +564,20 @@ def run_async_vectorized(
             )
         now = nxt
         # Harvest the due calendar buckets: the new instant coalesces
-        # every wake value in (limit, now + eps], so ids filed under
-        # those values are exactly the next admission candidates.
-        b = calendar.pop(nxt, None)
-        if b is not None:
-            pending.extend(b)
+        # every wake value in (limit, now + eps], so what is filed under
+        # those values is exactly the next admission work.
         lim2 = nxt + eps
-        while wake and wake[0] <= lim2:
-            v = heappop(wake)
+        v = nxt
+        while True:
             b = calendar.pop(v, None)
             if b is not None:
-                pending.extend(b)
+                due_ids.extend(b)
+            b = pcal.pop(v, None)
+            if b is not None:
+                due_piles.extend(b)
+            if not wake or wake[0] > lim2:
+                break
+            v = heappop(wake)
         # The dedup set otherwise accumulates every float ever pushed;
         # rebuilding it from the live heap keeps it cache-sized on
         # million-transfer runs.  (Dedup is a size optimization, not a

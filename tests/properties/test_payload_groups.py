@@ -7,7 +7,8 @@ group.  These properties pin that on schedules built to hit the
 grouping's edge cases — a slot written by two transfers at different
 times, a slot both initially held and re-delivered, one transfer
 reading several slots of one group, zero-element chunks, release times
-that tie with event instants and a dead link — on hypercube and torus
+that tie with event instants, dead links and nodes, and deep queues on
+one directed link (the engine's link piles) — on hypercube and torus
 hosts under all three port models:
 
 * the grouped table runs bit-identically to the reference oracle
@@ -23,7 +24,8 @@ hosts under all three port models:
 
 The random schedules are a first slice of an arbitrary-schedule
 fuzzer: random chunk sets spread along random host edges, each
-transfer carrying only chunks its sender holds by then in round order.
+transfer carrying only chunks its sender holds by then in round order,
+plus a hot link that several transfers share across the rounds.
 """
 
 from __future__ import annotations
@@ -302,6 +304,55 @@ def test_release_instant_beyond_every_delivery(pm):
     )
 
 
+def pile_program():
+    """A deep pile on link 0->1 of a 3-cube, interleaved in program
+    order with a second pile on 0's send channel (0->2) and a third on
+    1's receive channel (3->1).  Zero-element chunks ``z`` make several
+    0->1 members start in one instant under ``ZERO_STARTUP``; ``b``
+    costs time, so the pile also blocks."""
+    z0, z1, b = ("z", 0), ("z", 1), ("b", 0)
+    rounds = [
+        (Transfer(0, 1, frozenset({z0})),
+         Transfer(0, 2, frozenset({b})),
+         Transfer(0, 1, frozenset({z1})),
+         Transfer(3, 1, frozenset({b})),
+         Transfer(0, 1, frozenset({z0, z1}))),
+        (Transfer(0, 1, frozenset({b})),
+         Transfer(0, 1, frozenset({z1})),
+         Transfer(2, 3, frozenset({b})),
+         Transfer(0, 1, frozenset({z0}))),
+        (Transfer(1, 3, frozenset({z0})),
+         Transfer(0, 1, frozenset({b, z0})),
+         Transfer(0, 2, frozenset({z1}))),
+    ]
+    schedule = Schedule(
+        rounds=rounds, chunk_sizes={z0: 0, z1: 0, b: 2},
+        algorithm="link-pile",
+    )
+    return schedule, {0: {z0, z1, b}, 3: {b}}
+
+
+@pytest.mark.parametrize("pm", list(PortModel), ids=lambda pm: pm.value)
+@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+def test_link_pile_matches_reference(pm, machine):
+    schedule, initial = pile_program()
+    check_program(Hypercube(3), schedule, initial, pm, machine)
+
+
+@pytest.mark.parametrize("pm", list(PortModel), ids=lambda pm: pm.value)
+@pytest.mark.parametrize("on_fault", ["raise", "report"])
+@pytest.mark.parametrize("at", [0.0, 2.0, 4.0])
+@pytest.mark.parametrize("dead", [0, 1])
+def test_link_pile_with_dead_node(pm, on_fault, at, dead):
+    """The pile's source (or destination) dies at an instant where
+    several of its members tie: each meets the fault in turn."""
+    schedule, initial = pile_program()
+    check_program(
+        Hypercube(3), schedule, initial, pm, ZERO_STARTUP,
+        faults=FaultPlan(dead_nodes=[(dead, at)]), on_fault=on_fault,
+    )
+
+
 def test_moe_step_tables_group_exactly():
     """The all-to-all workload's own tables satisfy the partition too."""
     w = WORKLOAD_SCENARIOS["moe-alltoall"].build(0)
@@ -330,11 +381,20 @@ def random_program(draw):
             st.integers(0, n - 1), min_size=1, max_size=3, unique=True
         )):
             initial.setdefault(v, set()).add(c)
+    n_rounds = draw(st.integers(1, 4))
+    # A hot link: 3-8 transfers on one directed link, spread across the
+    # rounds, so the engine's per-link pile runs deep.  Its sender
+    # starts with the chunks it carries.
+    hot_src = draw(st.sampled_from(sorted(initial)))
+    hot_dst = topo.neighbor(hot_src, draw(st.integers(0, topo.num_ports - 1)))
+    hot_rounds = draw(st.lists(
+        st.integers(0, n_rounds - 1), min_size=3, max_size=8
+    ))
     # lock-step knowledge: a transfer only carries chunks its sender
     # holds after the previous rounds, so the program never deadlocks
     held = {v: set(cs) for v, cs in initial.items()}
     rounds = []
-    for _ in range(draw(st.integers(1, 4))):
+    for k in range(n_rounds):
         step = []
         arrived: dict[int, set] = {}
         for _ in range(draw(st.integers(1, 5))):
@@ -345,6 +405,17 @@ def random_program(draw):
             ))
             step.append(Transfer(src, dst, frozenset(carry)))
             arrived.setdefault(dst, set()).update(carry)
+        for _ in range(hot_rounds.count(k)):
+            carry = draw(st.sets(
+                st.sampled_from(sorted(initial[hot_src])), min_size=1
+            ))
+            # anywhere in the round, so pile members interleave with
+            # other links' transfers in program order
+            step.insert(
+                draw(st.integers(0, len(step))),
+                Transfer(hot_src, hot_dst, frozenset(carry)),
+            )
+            arrived.setdefault(hot_dst, set()).update(carry)
         for v, cs in arrived.items():
             held.setdefault(v, set()).update(cs)
         rounds.append(tuple(step))
@@ -357,11 +428,19 @@ def random_program(draw):
     }
     faults = None
     on_fault = "raise"
-    if draw(st.booleans()):
-        t = draw(st.sampled_from([t for r in rounds for t in r]))
-        faults = FaultPlan(
-            dead_links=[(t.src, t.dst, draw(st.sampled_from(INSTANTS)))]
-        )
+    kind = draw(st.sampled_from(("none", "link", "node")))
+    if kind != "none":
+        at = draw(st.sampled_from(INSTANTS))
+        if kind == "link":
+            t = draw(st.sampled_from([t for r in rounds for t in r]))
+            faults = FaultPlan(dead_links=[(t.src, t.dst, at)])
+        else:
+            # the hot link's sender dying at a grid instant kills a
+            # pile's source while its members tie at that instant
+            v = draw(st.sampled_from(
+                [hot_src] + [u for r in rounds for t in r for u in (t.src, t.dst)]
+            ))
+            faults = FaultPlan(dead_nodes=[(v, at)])
         on_fault = draw(st.sampled_from(("raise", "report")))
     return (
         topo, schedule, initial, draw(st.sampled_from(list(PortModel))),

@@ -1,13 +1,13 @@
 """The vectorized array-core engine is bit-identical to the reference.
 
 ``repro.sim.vectorized.run_async_vectorized`` lowers the schedule to
-flat NumPy tables (:mod:`repro.sim.lowering`) and batches admission
-through a NumPy prefilter, but its results must match the reference
+flat NumPy tables (:mod:`repro.sim.lowering`) and examines queued
+transfers per directed-link pile, but its results must match the reference
 oracle to the last ulp: completion time, holdings, link statistics,
 start times, fault errors and degraded results alike.
 ``tests/sim/test_engine_equivalence.py`` runs the plain calls; this
 file covers the engine's own options (a shared ``lowered=`` table, the
-transfer log), randomized collectives, the prefilter's semantics, the
+transfer log), randomized collectives, the
 ``repro_engine_table_bytes_peak`` gauge, and that no engine-selection
 knob survives.
 """
@@ -39,7 +39,7 @@ from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
-from repro.sim.vectorized import _prefilter, run_async_vectorized
+from repro.sim.vectorized import run_async_vectorized
 from repro.topology.hypercube import Hypercube
 from repro.trees.hamiltonian import HamiltonianPathTree
 from repro.trees.tcbt import TwoRootedCompleteBinaryTree
@@ -289,20 +289,6 @@ def test_property_vectorized_bit_identical(params, algo, machine):
     assert vec.holdings == ref.holdings
     assert vec.start_times == sorted(ref.start_times)
     assert vec.link_stats == ref.link_stats
-
-
-# -- admission prefilter ----------------------------------------------
-
-
-def test_prefilter_numpy_semantics():
-    ready = np.array([0.0, 5.0, 1.0, np.inf, 2.0])
-    vc = np.array([0.0, 0.0, 9.0, 0.0, 2.0])
-    idx = np.arange(5, dtype=np.int64)
-    out = _prefilter(idx, ready, vc, 2.0)
-    # kept iff ready <= limit AND vc <= limit
-    assert out.tolist() == [0, 4]
-    empty = _prefilter(np.array([1, 3], dtype=np.int64), ready, vc, 2.0)
-    assert empty.tolist() == []
 
 
 # -- no engine selection -----------------------------------------------

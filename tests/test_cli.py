@@ -16,6 +16,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "9"])
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "1"],
+        ["figure", "6"],
+        ["sweep", "fig6"],
+        ["service", "run", "--scenario", "smoke-mix"],
+        ["workload", "run", "--scenario", "moe-alltoall"],
+    ], ids=lambda a: a[0])
+    def test_negative_jobs_is_a_usage_error(self, argv, capsys):
+        """A negative worker count exits 2 with a one-line argparse
+        error on every subcommand, before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "-2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs/-j: must be >= 0" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
     def test_broadcast_defaults(self):
         args = build_parser().parse_args(["broadcast"])
         assert args.dim == 5 and args.ports == "full"
